@@ -130,7 +130,8 @@ struct InferenceTiming {
 
 /// Time a deployment-shaped run — every RA a LearnedPolicy over one
 /// shared frozen actor, exactly how run_contender deploys — with
-/// cross-agent batched inference on or off. The two trajectories must be
+/// cross-agent batched inference on or off (off wraps each policy in
+/// core::UnbatchedPolicy). The two trajectories must be
 /// bit-identical; only the wall clock may differ. Inference cost does not
 /// depend on the weights, so a fresh (untrained) actor of the deployed
 /// architecture keeps the measurement cheap.
@@ -147,19 +148,21 @@ InferenceTiming time_deployment(const Setup& setup, bool batched,
                environments.front()->action_dim()},
               nn::Activation::LeakyRelu, nn::Activation::Sigmoid, actor_rng));
   std::vector<std::unique_ptr<core::RaPolicy>> policies;
+  std::vector<std::unique_ptr<core::RaPolicy>> unbatched;
   for (std::size_t j = 0; j < setup.ras; ++j) {
     policies.push_back(std::make_unique<core::LearnedPolicy>(agent, /*learn=*/false));
+    if (!batched) {
+      unbatched.push_back(std::make_unique<core::UnbatchedPolicy>(*policies.back()));
+    }
   }
   core::CoordinatorConfig coordinator;
   coordinator.slices = setup.slices;
   coordinator.ras = setup.ras;
-  core::SystemConfig system_config;
-  system_config.batched_inference = batched;
   std::vector<env::RaEnvironment*> env_ptrs;
   std::vector<core::RaPolicy*> policy_ptrs;
   for (auto& e : environments) env_ptrs.push_back(e.get());
-  for (auto& p : policies) policy_ptrs.push_back(p.get());
-  core::EdgeSliceSystem system(env_ptrs, policy_ptrs, coordinator, system_config);
+  for (auto& p : batched ? policies : unbatched) policy_ptrs.push_back(p.get());
+  core::EdgeSliceSystem system(env_ptrs, policy_ptrs, coordinator, {});
 
   InferenceTiming out;
   out.period_performance.reserve(periods);

@@ -51,75 +51,29 @@ std::size_t PerformanceCoordinator::index(std::size_t slice, std::size_t ra) con
 }
 
 void PerformanceCoordinator::update(const nn::Matrix& performance_sums) {
-  if (performance_sums.rows() != config_.slices ||
-      performance_sums.cols() != config_.ras) {
-    reject("shape", obs::RejectCause::Shape, "PerformanceCoordinator: U matrix shape mismatch");
-  }
-  for (double v : performance_sums.data()) {
-    if (!std::isfinite(v))
-      reject("nonfinite", obs::RejectCause::NonFinite, "PerformanceCoordinator: non-finite performance sum");
-  }
-  const auto solve_span = global_tracer().span("coordinator.solve");
-  global_metrics().counter("coordinator.updates").add();
-  scratch_z_old_ = z_;
-  const std::vector<double>& z_old = scratch_z_old_;
-
-  // z-update (Eq. 9 / P2): per slice, project (U_i + y_i) onto
-  // { z : sum_j z_j >= U_i^min }.
-  for (std::size_t i = 0; i < config_.slices; ++i) {
-    scratch_c_.resize(config_.ras);
-    for (std::size_t j = 0; j < config_.ras; ++j) {
-      scratch_c_[j] = performance_sums(i, j) + y_[index(i, j)];
-    }
-    opt::project_halfspace_sum_ge_into(scratch_c_, config_.u_min[i], scratch_zi_);
-    for (std::size_t j = 0; j < config_.ras; ++j) z_[index(i, j)] = scratch_zi_[j];
-  }
-
-  // y-update (Eq. 10): y <- y + (sum_t U - z).
-  scratch_u_.resize(config_.slices * config_.ras);
-  std::vector<double>& u_flat = scratch_u_;
-  for (std::size_t i = 0; i < config_.slices; ++i) {
-    for (std::size_t j = 0; j < config_.ras; ++j) {
-      u_flat[index(i, j)] = performance_sums(i, j);
-    }
-  }
-  opt::update_scaled_duals(y_, u_flat, z_);
-
-  // Residual bookkeeping / convergence decision.
-  opt::AdmmResiduals residuals;
-  residuals.primal = opt::primal_residual_norm(u_flat, z_);
-  residuals.dual = opt::dual_residual_norm(z_, z_old, config_.rho);
-  double u_norm = 0.0;
-  double z_norm = 0.0;
-  double y_norm = 0.0;
-  for (std::size_t k = 0; k < u_flat.size(); ++k) {
-    u_norm += u_flat[k] * u_flat[k];
-    z_norm += z_[k] * z_[k];
-    y_norm += y_[k] * y_[k];
-  }
-  monitor_.record(residuals, std::sqrt(std::max(u_norm, z_norm)),
-                  config_.rho * std::sqrt(y_norm), u_flat.size());
+  scratch_all_active_.assign(config_.ras, true);
+  solve(performance_sums, scratch_all_active_);
 }
 
 void PerformanceCoordinator::update(const nn::Matrix& performance_sums,
                                     const std::vector<bool>& active) {
   if (active.size() != config_.ras)
     reject("mask_size", obs::RejectCause::MaskSize, "PerformanceCoordinator: active mask size mismatch");
-  const bool all_active = std::all_of(active.begin(), active.end(), [](bool a) { return a; });
   const std::size_t frozen =
       static_cast<std::size_t>(std::count(active.begin(), active.end(), false));
   global_metrics().gauge("coordinator.frozen_columns")
       .set(static_cast<double>(frozen));
-  if (!all_active) {
+  if (frozen > 0) {
     obs::Event event;
     event.kind = obs::EventKind::ColumnsFrozen;
     event.value = static_cast<double>(frozen);
     obs::global_event_log().record(event);
   }
-  if (all_active) {
-    update(performance_sums);
-    return;
-  }
+  solve(performance_sums, active);
+}
+
+void PerformanceCoordinator::solve(const nn::Matrix& performance_sums,
+                                   const std::vector<bool>& active) {
   if (performance_sums.rows() != config_.slices ||
       performance_sums.cols() != config_.ras) {
     reject("shape", obs::RejectCause::Shape, "PerformanceCoordinator: U matrix shape mismatch");

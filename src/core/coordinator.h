@@ -82,6 +82,8 @@ class PerformanceCoordinator {
 
  private:
   std::size_t index(std::size_t slice, std::size_t ra) const;
+  /// The z/y update over the columns with active[j] set (validated size).
+  void solve(const nn::Matrix& performance_sums, const std::vector<bool>& active);
 
   CoordinatorConfig config_;
   std::vector<double> z_;  // slice-major: z_[i * ras + j]
@@ -89,6 +91,7 @@ class PerformanceCoordinator {
   opt::AdmmMonitor monitor_;
   /// Per-update scratch, reused across periods so the steady-state solve
   /// allocates nothing. Never read across calls.
+  std::vector<bool> scratch_all_active_;
   std::vector<double> scratch_z_old_;
   std::vector<double> scratch_c_;
   std::vector<double> scratch_zi_;

@@ -67,6 +67,28 @@ class LearnedPolicy final : public RaPolicy {
   std::vector<double> pending_action_;
 };
 
+/// Forwards every call to `inner` but withholds its inference_network(),
+/// so the system decides this RA with a per-RA decide_into() instead of a
+/// batched row — the unbatched reference that batched inference is checked
+/// and timed against. `inner` is non-owning and must outlive the decorator.
+class UnbatchedPolicy final : public RaPolicy {
+ public:
+  explicit UnbatchedPolicy(RaPolicy& inner) : inner_(&inner) {}
+
+  std::vector<double> decide(const env::RaEnvironment& environment) override {
+    return inner_->decide(environment);
+  }
+  void decide_into(const env::RaEnvironment& environment,
+                   std::vector<double>& action) override {
+    inner_->decide_into(environment, action);
+  }
+  void feedback(const env::StepResult& result) override { inner_->feedback(result); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  RaPolicy* inner_;
+};
+
 /// TARO — Traffic-Aware Resource Orchestration (the baseline): every
 /// resource is shared proportionally to current queue lengths,
 /// x_{i,j} = R_j^tot * l_i / sum_i' l_i'.

@@ -13,7 +13,6 @@
 #include "common/trace_span.h"
 #include "obs/event_log.h"
 #include "obs/sla_watchdog.h"
-#include "rl/batched_actor.h"
 
 namespace edgeslice::core {
 
@@ -148,158 +147,67 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
     }
   }
 
-  ThreadPool* pool = config_.pool;
   if (transport != nullptr) {
-    // Remote execution: one directive per RA out, one trace per RA back,
-    // reduced in the same sequential (t, j) order as every other path.
+    // Remote execution: one directive per RA out, one trace per RA back.
+    // Last period's traces are released first, so they never coexist with
+    // the incoming ones.
     const auto intervals_span = global_tracer().span("system.transport_intervals");
-    std::vector<RaPeriodTrace> traces = transport->run_intervals(period_, directives);
-    if (traces.size() != ras)
+    traces_.clear();
+    traces_ = transport->run_intervals(period_, directives);
+    if (traces_.size() != ras)
       throw std::runtime_error("EdgeSliceSystem: transport trace count mismatch");
     for (std::size_t j = 0; j < ras; ++j) {
       // An RA the transport could not run (worker died or hung mid-period)
       // degrades exactly like a crash: no monitoring rows, no RC-M report;
       // carry-forward and column-freeze take over below.
-      if (!crashed[j] && (!traces[j].ran || traces[j].steps.size() != intervals ||
-                          traces[j].actions.size() != intervals)) {
+      if (!crashed[j] && (!traces_[j].ran || traces_[j].steps.size() != intervals ||
+                          traces_[j].actions.size() != intervals)) {
         crashed[j] = true;
         ++result.crashed_ras;
         log_fault_event(obs::EventKind::FaultRaCrash, period_, j);
       }
     }
-    for (std::size_t t = 0; t < intervals; ++t) {
-      for (std::size_t j = 0; j < ras; ++j) {
-        if (crashed[j]) continue;
-        const env::StepResult& step = traces[j].steps[t];
-        monitor_->record(j, period_, interval_, step, traces[j].actions[t]);
-        for (std::size_t i = 0; i < slices; ++i) {
-          result.performance_sums(i, j) += step.performance[i];
-          result.slice_performance[i] += step.performance[i];
-          result.system_performance += step.performance[i];
-        }
-      }
-      ++interval_;
-    }
-  } else if (pool != nullptr && pool->thread_count() > 1 && ras > 1) {
-    // Decentralized execution: each RA's whole period runs on the worker
-    // that owns it (its environment and policy are touched by no other
-    // thread), with the per-interval results buffered per RA. The trace
-    // buffers are members so their capacity survives across periods;
-    // workers write disjoint per-RA slots.
-    if (traces_.size() != ras) traces_.resize(ras);
-    const bool timed = metrics_enabled();
-    const auto dispatch_time = SteadyClock::now();
-    pool->parallel_for(ras, [&](std::size_t j) {
-      if (crashed[j]) return;
-      // Time from batch dispatch to this RA's body starting: how long the
-      // RA sat in the pool's queue behind other work.
-      if (timed) {
-        global_tracer().record("system.pool_queue_wait", seconds_since(dispatch_time));
-      }
-      const auto ra_start = SteadyClock::now();
-      auto& environment = *environments_[j];
-      auto& trace = traces_[j];
-      trace.steps.resize(intervals);
-      trace.actions.resize(intervals);
-      for (std::size_t t = 0; t < intervals; ++t) {
-        policies_[j]->decide_into(environment, trace.actions[t]);
-        environment.step_into(trace.actions[t], trace.steps[t]);
-        policies_[j]->feedback(trace.steps[t]);
-      }
-      if (timed) global_tracer().record("system.ra_intervals", seconds_since(ra_start));
-    });
-    // parallel_for is the barrier; reduce in the sequential (t, j) order
-    // so monitoring rows and floating-point accumulation are bit-identical
-    // to a sequential run regardless of worker interleaving.
-    for (std::size_t t = 0; t < intervals; ++t) {
-      for (std::size_t j = 0; j < ras; ++j) {
-        if (crashed[j]) continue;
-        const env::StepResult& step = traces_[j].steps[t];
-        monitor_->record(j, period_, interval_, step, traces_[j].actions[t]);
-        for (std::size_t i = 0; i < slices; ++i) {
-          result.performance_sums(i, j) += step.performance[i];
-          result.slice_performance[i] += step.performance[i];
-          result.system_performance += step.performance[i];
-        }
-      }
-      ++interval_;
-    }
   } else {
-    // Sequential path: the (t, j) loops interleave RAs per interval, so
-    // per-RA time is accumulated across intervals and recorded once per
-    // RA — the same span granularity the parallel path reports.
-    const bool timed = metrics_enabled();
+    // In-process execution: contiguous RA ranges, one per pool task. A
+    // task's RAs are touched by no other thread, and the trace buffers are
+    // members so their capacity survives across periods.
+    ThreadPool* pool = config_.pool;
+    const std::size_t tasks = std::min(pool != nullptr ? pool->thread_count() : 1, ras);
+    tasks_.resize(tasks);
+    traces_.resize(ras);
     double* const ra_seconds = period_arena_.make_array<double>(ras);
+    if (tasks == 1) {
+      run_ra_task(tasks_[0], 0, ras, crashed, ra_seconds);
+    } else {
+      const bool timed = metrics_enabled();
+      const auto dispatch_time = SteadyClock::now();
+      pool->parallel_for(tasks, [&](std::size_t k) {
+        // Time from batch dispatch to this task starting: how long it sat
+        // in the pool's queue behind other work.
+        if (timed) {
+          global_tracer().record("system.pool_queue_wait", seconds_since(dispatch_time));
+        }
+        run_ra_task(tasks_[k], k * ras / tasks, (k + 1) * ras / tasks, crashed,
+                    ra_seconds);
+      });
+    }
+  }
 
-    // Cross-agent batched inference: RAs whose policy's decide() is a
-    // pure forward pass, grouped by the network they share (in deployment
-    // that is one group holding every live RA). Their states are readable
-    // up front each interval because an environment only advances when
-    // its own RA steps, and per-row kernel determinism makes each batched
-    // row bit-identical to the per-RA decide() it replaces. The group set
-    // (keyed by network) and its buffers persist across periods; only the
-    // membership is rebuilt, because crashes change it.
-    constexpr std::size_t kUnbatched = static_cast<std::size_t>(-1);
-    for (auto& group : groups_) group.members.clear();
-    // Per RA: {group index, row within the group} or {kUnbatched, 0}.
-    slot_.assign(ras, {kUnbatched, 0});
-    if (config_.batched_inference) {
-      for (std::size_t j = 0; j < ras; ++j) {
-        if (crashed[j]) continue;
-        const nn::Mlp* network = policies_[j]->inference_network();
-        if (network == nullptr) continue;
-        std::size_t g = 0;
-        while (g < groups_.size() && &groups_[g].actor.network() != network) ++g;
-        if (g == groups_.size()) groups_.push_back({rl::BatchedActor(*network), {}});
-        slot_[j] = {g, groups_[g].members.size()};
-        groups_[g].members.push_back(j);
+  // Both planes meet here: reduce in the (t, j) order, so monitoring rows
+  // and floating-point accumulation are bit-identical for any thread or
+  // worker count.
+  for (std::size_t t = 0; t < intervals; ++t) {
+    for (std::size_t j = 0; j < ras; ++j) {
+      if (crashed[j]) continue;
+      const env::StepResult& step = traces_[j].steps[t];
+      monitor_->record(j, period_, interval_, step, traces_[j].actions[t]);
+      for (std::size_t i = 0; i < slices; ++i) {
+        result.performance_sums(i, j) += step.performance[i];
+        result.slice_performance[i] += step.performance[i];
+        result.system_performance += step.performance[i];
       }
     }
-    bool any_batched = false;
-
-    double batch_seconds = 0.0;
-    for (std::size_t t = 0; t < intervals; ++t) {
-      const auto batch_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
-      for (auto& group : groups_) {
-        if (group.members.empty()) continue;
-        any_batched = true;
-        group.actor.begin(group.members.size());
-        for (std::size_t row = 0; row < group.members.size(); ++row) {
-          environments_[group.members[row]]->state_into(state_scratch_);
-          group.actor.set_state(row, state_scratch_);
-        }
-        group.actor.infer();
-      }
-      if (timed && !groups_.empty()) batch_seconds += seconds_since(batch_start);
-      for (std::size_t j = 0; j < ras; ++j) {
-        if (crashed[j]) continue;
-        const auto ra_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
-        auto& environment = *environments_[j];
-        if (slot_[j].first != kUnbatched) {
-          groups_[slot_[j].first].actor.action_into(slot_[j].second, action_scratch_);
-        } else {
-          policies_[j]->decide_into(environment, action_scratch_);
-        }
-        environment.step_into(action_scratch_, step_scratch_);
-        policies_[j]->feedback(step_scratch_);
-        monitor_->record(j, period_, interval_, step_scratch_, action_scratch_);
-        for (std::size_t i = 0; i < slices; ++i) {
-          result.performance_sums(i, j) += step_scratch_.performance[i];
-          result.slice_performance[i] += step_scratch_.performance[i];
-          result.system_performance += step_scratch_.performance[i];
-        }
-        if (timed) ra_seconds[j] += seconds_since(ra_start);
-      }
-      ++interval_;
-    }
-    if (timed) {
-      for (std::size_t j = 0; j < ras; ++j) {
-        if (!crashed[j]) global_tracer().record("system.ra_intervals", ra_seconds[j]);
-      }
-      if (any_batched) {
-        global_tracer().record("system.batched_inference", batch_seconds);
-      }
-    }
+    ++interval_;
   }
 
   if (config_.use_coordinator) {
@@ -411,6 +319,79 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
     config_.watchdog->evaluate(period_, slice_sums_scratch_, slice_worst_ra_scratch_);
   }
   ++period_;
+}
+
+void EdgeSliceSystem::run_ra_task(RaTask& task, std::size_t begin, std::size_t end,
+                                  const bool* crashed, double* ra_seconds) {
+  const std::size_t intervals = environments_.front()->config().intervals_per_period;
+  const bool timed = metrics_enabled();
+
+  // Cross-agent batched inference: the live RAs whose policy's decide() is
+  // a pure forward pass, grouped by the network they share (in deployment
+  // one group holds every live RA of the range). Their states are readable
+  // up front each interval because an environment only advances when its
+  // own RA steps, and per-row kernel determinism (DESIGN.md Sec. 12) makes
+  // each batched row bit-identical to the per-RA decide() it replaces.
+  constexpr std::size_t kUnbatched = static_cast<std::size_t>(-1);
+  for (auto& group : task.groups) group.members.clear();
+  task.slot.assign(end - begin, {kUnbatched, 0});
+  std::size_t live = 0;
+  for (std::size_t j = begin; j < end; ++j) {
+    traces_[j].steps.resize(intervals);
+    traces_[j].actions.resize(intervals);
+    if (crashed[j]) continue;
+    ++live;
+    const nn::Mlp* network = policies_[j]->inference_network();
+    if (network == nullptr) continue;
+    std::size_t g = 0;
+    while (g < task.groups.size() && &task.groups[g].actor.network() != network) ++g;
+    if (g == task.groups.size()) task.groups.push_back({rl::BatchedActor(*network), {}});
+    task.slot[j - begin] = {g, task.groups[g].members.size()};
+    task.groups[g].members.push_back(j);
+  }
+
+  // Per-RA time is accumulated across the interleaved intervals and
+  // recorded once per RA, each carrying an equal share of the batched
+  // forward passes, so the spans sum to the task's busy time.
+  double batch_seconds = 0.0;
+  bool batched = false;
+  for (std::size_t t = 0; t < intervals; ++t) {
+    const auto batch_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
+    for (auto& group : task.groups) {
+      if (group.members.empty()) continue;
+      batched = true;
+      group.actor.begin(group.members.size());
+      for (std::size_t row = 0; row < group.members.size(); ++row) {
+        environments_[group.members[row]]->state_into(task.state);
+        group.actor.set_state(row, task.state);
+      }
+      group.actor.infer();
+    }
+    if (timed) batch_seconds += seconds_since(batch_start);
+    for (std::size_t j = begin; j < end; ++j) {
+      if (crashed[j]) continue;
+      const auto ra_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
+      std::vector<double>& action = traces_[j].actions[t];
+      env::StepResult& step = traces_[j].steps[t];
+      const auto [group, row] = task.slot[j - begin];
+      if (group != kUnbatched) {
+        task.groups[group].actor.action_into(row, action);
+      } else {
+        policies_[j]->decide_into(*environments_[j], action);
+      }
+      environments_[j]->step_into(action, step);
+      policies_[j]->feedback(step);
+      if (timed) ra_seconds[j] += seconds_since(ra_start);
+    }
+  }
+  if (timed && live > 0) {
+    const double batch_share = batch_seconds / static_cast<double>(live);
+    for (std::size_t j = begin; j < end; ++j) {
+      if (crashed[j]) continue;
+      global_tracer().record("system.ra_intervals", ra_seconds[j] + batch_share);
+    }
+    if (batched) global_tracer().record("system.batched_inference", batch_seconds);
+  }
 }
 
 std::vector<PeriodResult> EdgeSliceSystem::run(std::size_t periods) {

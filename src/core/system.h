@@ -69,36 +69,30 @@ struct SystemConfig {
   /// frozen until a report arrives.
   std::size_t max_report_staleness = 3;
   /// Non-owning thread pool; null (or a 1-thread pool) runs the period
-  /// loop sequentially. With workers, each RA's T intervals run on the
-  /// worker that owns that RA — environments and policies are touched by
-  /// exactly one thread — and the collected trajectories are reduced at
-  /// the pre-existing message-bus barrier in the sequential (interval,
-  /// RA) order, so results are bit-identical to a sequential run.
-  /// Requirement: per-RA policies must not share *mutable* state across
-  /// RAs (deployment policies — frozen actors with learn = false, TARO —
-  /// qualify; a shared learning agent does not).
+  /// loop inline. The RAs are split into min(thread count, RAs)
+  /// contiguous ranges, one pool task each; a task steps its RAs interval
+  /// by interval, with one batched forward pass per shared inference
+  /// network (RaPolicy::inference_network) over its live RAs per interval.
+  /// Each environment and policy is touched by exactly one thread, and the
+  /// collected trajectories are reduced after the barrier in the (interval,
+  /// RA) order, so results are bit-identical for any thread count.
+  /// Requirement when the pool yields more than one task: per-RA policies
+  /// must not share *mutable* state across RAs (deployment policies —
+  /// frozen actors with learn = false, TARO — qualify; a shared learning
+  /// agent does not, but runs fine without a pool, where the single task
+  /// calls the policies in plain (interval, RA) order).
   ThreadPool* pool = nullptr;
   /// Non-owning SLA watchdog; null disables SLO evaluation. When set, the
   /// system feeds it the network-wide per-slice performance sums (from the
   /// monitor's incremental per-(ra, period) sums) at the end of each
   /// period. Observation-only: never feeds back into orchestration.
   obs::SlaWatchdog* watchdog = nullptr;
-  /// Cross-agent batched inference (sequential in-process path only):
-  /// per interval, the RAs whose policies report an inference_network()
-  /// are grouped by shared network and decided with one multi-row forward
-  /// pass per network instead of one per RA. Observation-neutral — per-row
-  /// kernel determinism (nn/gemm.h) makes every batched action
-  /// bit-identical to the per-RA decide() it replaces — and therefore,
-  /// like `pool`, excluded from config_fingerprint(). The pooled path
-  /// (whole-period-per-RA on dedicated workers) and the transport path
-  /// (remote processes) have no cross-RA point to batch at.
-  bool batched_inference = true;
   /// Non-owning remote execution plane (ipc::WorkerSupervisor); null runs
   /// the RAs in-process. With a transport, the system's environment and
   /// policy pointers are never stepped locally — periods are dispatched as
   /// directives, traces come back over the wire and are reduced in the
-  /// same sequential (interval, RA) order, the RC-L leg rides the bus's
-  /// transport routing, and checkpoints snapshot the remote environments.
+  /// same (interval, RA) order, the RC-L leg rides the bus's transport
+  /// routing, and checkpoints snapshot the remote environments.
   /// Trajectories are bit-identical to an in-process run for any worker
   /// count (see src/core/ra_transport.h for the contract). `pool` is
   /// ignored when a transport is set — parallelism is process-level.
@@ -177,25 +171,26 @@ class EdgeSliceSystem {
 
   /// --- Steady-state scratch (never read across periods) --------------------
   MonotonicArena period_arena_;
-  /// Cached cross-agent batched-inference groups (sequential path), keyed
-  /// by shared network. The BatchedActor and member lists persist across
-  /// periods — membership is rebuilt each period (crashes change it), the
-  /// buffers are not.
+  /// In-process RA stepping: per pool task, the cross-agent inference
+  /// groups (keyed by shared network; membership is rebuilt each period
+  /// because crashes change it, the buffers persist) and scratch buffers.
   struct InferenceGroup {
     rl::BatchedActor actor;
     std::vector<std::size_t> members;  // RA indices, ascending
   };
-  /// Per-RA whole-period trajectory buffers for the pooled path.
-  struct RaTrace {
-    std::vector<env::StepResult> steps;
-    std::vector<std::vector<double>> actions;
+  struct RaTask {
+    std::vector<InferenceGroup> groups;
+    /// Per RA of the range: {group index, row within the group}.
+    std::vector<std::pair<std::size_t, std::size_t>> slot;
+    std::vector<double> state;
   };
-  std::vector<InferenceGroup> groups_;
-  std::vector<std::pair<std::size_t, std::size_t>> slot_;
-  std::vector<RaTrace> traces_;
-  std::vector<double> state_scratch_;
-  std::vector<double> action_scratch_;
-  env::StepResult step_scratch_;
+  /// Step RAs [begin, end) through the period's intervals into traces_;
+  /// `ra_seconds` (indexed by RA) accumulates their traced time.
+  void run_ra_task(RaTask& task, std::size_t begin, std::size_t end,
+                   const bool* crashed, double* ra_seconds);
+  std::vector<RaTask> tasks_;
+  /// Per-RA trajectories of the period, from either plane.
+  std::vector<RaPeriodTrace> traces_;
   nn::Matrix u_scratch_;
   std::vector<bool> active_scratch_;
   RcMonitoringMessage report_scratch_;

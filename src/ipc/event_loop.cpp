@@ -1,5 +1,7 @@
 #include "ipc/event_loop.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -136,6 +138,10 @@ bool PollLoop::run_until(const std::function<bool()>& done, int deadline_ms) {
           if (errno == EINTR) continue;
           break;  // EAGAIN (drained) or a transient accept error
         }
+        // Responses are small and latency-bound: never hold them back to
+        // coalesce (Nagle). On a non-TCP socket the call fails harmlessly.
+        int nodelay = 1;
+        ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
         on_accept(client);
       }
     }

@@ -57,9 +57,10 @@ class PollLoop {
   std::size_t size() const { return connections_.size(); }
 
   /// Register a listening socket: while the loop runs, readiness on it
-  /// accepts every pending connection (accept4 with SOCK_NONBLOCK) and
-  /// hands each new fd to `on_accept`. The policy-serve daemon is the
-  /// consumer; the supervisor's fixed socketpair fan-in never needs one.
+  /// accepts every pending connection (accept4 with SOCK_NONBLOCK, then
+  /// TCP_NODELAY) and hands each new fd to `on_accept`. The policy-serve
+  /// daemon is the consumer; the supervisor's fixed socketpair fan-in
+  /// never needs one.
   void add_listener(int fd, AcceptHandler on_accept);
   void remove_listener(int fd);
 

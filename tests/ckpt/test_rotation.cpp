@@ -7,6 +7,7 @@
 // latest() in favour of the next-newest valid one; a crash mid-prune
 // leaves extra files, never fewer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -25,7 +26,12 @@ namespace fs = std::filesystem;
 class RotationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "esck_rotation_test";
+    // Unique per test and process: ctest runs each test as its own
+    // process, possibly concurrently, and they must not share files.
+    dir_ = fs::temp_directory_path() /
+           ("esck_rotation_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     base_ = (dir_ / "run.ckpt").string();

@@ -9,6 +9,7 @@
 // data-race-free, not merely deterministic by luck.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -127,27 +128,24 @@ struct SystemRun {
   std::vector<IntervalRecord> records;
 };
 
-SystemRun run_system(std::uint64_t seed, std::size_t threads,
-                     const FaultInjector* faults, std::shared_ptr<rl::Agent> agent) {
-  constexpr std::size_t kRas = 4;
+using PolicyFactory = std::function<std::unique_ptr<RaPolicy>(std::size_t ra)>;
+
+SystemRun run_system(std::uint64_t seed, std::size_t threads, const FaultInjector* faults,
+                     std::size_t ras, const PolicyFactory& make_policy) {
   const Rng parent(seed);
   std::vector<std::unique_ptr<env::RaEnvironment>> environments;
   std::vector<std::unique_ptr<RaPolicy>> policies;
   std::vector<env::RaEnvironment*> env_ptrs;
   std::vector<RaPolicy*> policy_ptrs;
-  for (std::size_t j = 0; j < kRas; ++j) {
+  for (std::size_t j = 0; j < ras; ++j) {
     environments.push_back(make_env(parent.spawn(500 + j)));
-    if (agent) {
-      policies.push_back(std::make_unique<LearnedPolicy>(agent, /*learn=*/false));
-    } else {
-      policies.push_back(std::make_unique<TaroPolicy>());
-    }
+    policies.push_back(make_policy(j));
     env_ptrs.push_back(environments.back().get());
     policy_ptrs.push_back(policies.back().get());
   }
   CoordinatorConfig coordinator;
   coordinator.slices = 2;
-  coordinator.ras = kRas;
+  coordinator.ras = ras;
   SystemConfig config;
   config.faults = faults;
   ThreadPool pool(threads);
@@ -159,6 +157,16 @@ SystemRun run_system(std::uint64_t seed, std::size_t threads,
   out.series = system.monitor().system_performance_series();
   out.records = system.monitor().records();
   return out;
+}
+
+/// Four RAs, all TARO or all deciding through one shared `agent`.
+SystemRun run_system(std::uint64_t seed, std::size_t threads,
+                     const FaultInjector* faults, std::shared_ptr<rl::Agent> agent) {
+  return run_system(seed, threads, faults, 4,
+                    [&](std::size_t) -> std::unique_ptr<RaPolicy> {
+                      if (agent) return std::make_unique<LearnedPolicy>(agent, false);
+                      return std::make_unique<TaroPolicy>();
+                    });
 }
 
 void expect_identical(const SystemRun& a, const SystemRun& b) {
@@ -203,9 +211,7 @@ TEST(ParallelDeterminism, RunPeriodBitIdenticalWithSharedFrozenActor) {
   }
 }
 
-TEST(ParallelDeterminism, RunPeriodBitIdenticalUnderFaults) {
-  // PR 1's chaos-reproducibility guarantee must survive the pool: the
-  // same fault plan yields the same degraded-mode run at any thread count.
+FaultPlan chaos_plan() {
   FaultPlan plan;
   plan.seed = 5;
   plan.rates.ra_crash = 0.2;
@@ -214,9 +220,37 @@ TEST(ParallelDeterminism, RunPeriodBitIdenticalUnderFaults) {
   plan.rates.rcl_drop = 0.2;
   plan.rates.cqi_blackout = 0.1;
   plan.rates.compute_slowdown = 0.15;
-  const FaultInjector faults(plan);
+  return plan;
+}
+
+TEST(ParallelDeterminism, RunPeriodBitIdenticalUnderFaults) {
+  // PR 1's chaos-reproducibility guarantee must survive the pool: the
+  // same fault plan yields the same degraded-mode run at any thread count.
+  const FaultInjector faults(chaos_plan());
   expect_identical(run_system(23, 1, &faults, nullptr),
                    run_system(23, 4, &faults, nullptr));
+}
+
+TEST(ParallelDeterminism, RunPeriodBitIdenticalWithMixedPoliciesOnUnevenRanges) {
+  // Seven RAs split into uneven contiguous task ranges: even RAs share one
+  // frozen actor (batched per task), odd RAs run TARO (decided per RA),
+  // and crashes change each task's batch membership from period to period.
+  Rng rng(37);
+  nn::Mlp actor({4, 24, 6}, nn::Activation::LeakyRelu, nn::Activation::Sigmoid, rng);
+  const auto agent = std::make_shared<rl::FrozenActor>(actor);
+  const PolicyFactory mixed = [&](std::size_t ra) -> std::unique_ptr<RaPolicy> {
+    if (ra % 2 == 0) return std::make_unique<LearnedPolicy>(agent, /*learn=*/false);
+    return std::make_unique<TaroPolicy>();
+  };
+  const FaultInjector faults(chaos_plan());
+  const SystemRun reference = run_system(29, 1, &faults, 7, mixed);
+  std::size_t crashed = 0;
+  for (const PeriodResult& period : reference.periods) crashed += period.crashed_ras;
+  ASSERT_GT(crashed, 0u) << "the fault plan must crash RAs for this test to bite";
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    SCOPED_TRACE(threads);
+    expect_identical(reference, run_system(29, threads, &faults, 7, mixed));
+  }
 }
 
 }  // namespace

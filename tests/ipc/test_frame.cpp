@@ -8,7 +8,10 @@
 // (Closed, never SIGPIPE).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -232,6 +235,38 @@ TEST(FrameIo, WriteToDeadPeerIsClosedNotSigpipe) {
     result = write_frame(pair.fds[0], second);
   }
   EXPECT_EQ(result, IoResult::Closed);
+}
+
+TEST(PollLoop, AcceptedConnectionsDisableNagle) {
+  // A non-blocking loopback listener on an ephemeral port, as the serve
+  // daemon registers it.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  ASSERT_EQ(::fcntl(listener, F_SETFL, ::fcntl(listener, F_GETFL, 0) | O_NONBLOCK), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  PollLoop loop;
+  int nodelay = -1;
+  loop.add_listener(listener, [&](int fd) {
+    socklen_t len = sizeof(nodelay);
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len) != 0) nodelay = -2;
+    ::close(fd);
+  });
+  EXPECT_TRUE(loop.run_until([&] { return nodelay != -1; }, 2000));
+  EXPECT_EQ(nodelay, 1);
+  ::close(client);
+  ::close(listener);
 }
 
 // ---- payload codecs -------------------------------------------------------

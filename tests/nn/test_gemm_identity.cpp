@@ -4,7 +4,7 @@
 // the experiment's reproducibility statement, and under any single pin
 // the run_period trajectory is byte-identical across every execution
 // shape — 1/2/4 pool threads, 0/2 worker processes, batched cross-agent
-// inference on or off. The two backends produce different (each
+// inference or per-RA decisions through core::UnbatchedPolicy. The two backends produce different (each
 // internally deterministic) streams, so trajectories may differ BETWEEN
 // pins — what must never differ is anything under the SAME pin.
 //
@@ -65,25 +65,29 @@ struct SystemRun {
 };
 
 /// One deployment run: every RA a LearnedPolicy over one shared frozen
-/// actor (the configuration batched inference actually groups).
+/// actor (the configuration batched inference actually groups). Unbatched
+/// runs wrap each policy in UnbatchedPolicy, which hides the shared network.
 SystemRun run_system(std::uint64_t seed, const std::shared_ptr<rl::Agent>& agent,
                      std::size_t threads, std::size_t workers, bool batched) {
   const Rng parent(seed);
   std::vector<std::unique_ptr<env::RaEnvironment>> environments;
   std::vector<std::unique_ptr<core::RaPolicy>> policies;
+  std::vector<std::unique_ptr<core::RaPolicy>> unbatched;
   std::vector<env::RaEnvironment*> env_ptrs;
   std::vector<core::RaPolicy*> policy_ptrs;
   for (std::size_t j = 0; j < kRas; ++j) {
     environments.push_back(make_env(parent.spawn(500 + j)));
     policies.push_back(std::make_unique<core::LearnedPolicy>(agent, /*learn=*/false));
+    if (!batched) {
+      unbatched.push_back(std::make_unique<core::UnbatchedPolicy>(*policies.back()));
+    }
     env_ptrs.push_back(environments.back().get());
-    policy_ptrs.push_back(policies.back().get());
+    policy_ptrs.push_back(batched ? policies.back().get() : unbatched.back().get());
   }
   core::CoordinatorConfig coordinator;
   coordinator.slices = 2;
   coordinator.ras = kRas;
   core::SystemConfig config;
-  config.batched_inference = batched;
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
