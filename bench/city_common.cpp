@@ -8,11 +8,13 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "common.h"
 
 #include "ckpt/rotation.h"
+#include "common/hash.h"
 #include "common/stats.h"
 #include "common/trace_span.h"
 #include "core/policies.h"
@@ -26,33 +28,19 @@ namespace edgeslice::bench::city {
 
 namespace {
 
-std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes, std::uint64_t hash) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a_doubles(const std::vector<double>& xs, std::uint64_t hash) {
-  return fnv1a_bytes(xs.data(), xs.size() * sizeof(double), hash);
-}
-
 /// Digest of one period's observable outcome. Covers the full coordinator
 /// input (performance sums) and the degraded-mode counters, so any
 /// divergence in the trajectory — numeric or control-flow — flips it.
 std::uint64_t period_digest(const core::PeriodResult& result) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  hash = fnv1a_doubles(result.performance_sums.data(), hash);
-  hash = fnv1a_bytes(&result.system_performance, sizeof(double), hash);
-  hash = fnv1a_doubles(result.slice_performance, hash);
+  std::uint64_t hash =
+      fnv1a64(std::as_bytes(std::span(result.performance_sums.data())));
+  hash = fnv1a64(std::as_bytes(std::span(&result.system_performance, 1)), hash);
+  hash = fnv1a64(std::as_bytes(std::span(result.slice_performance)), hash);
   const std::uint64_t counters[] = {
       result.coordinator_converged ? 1u : 0u, result.crashed_ras,
       result.reports_fresh,                   result.reports_carried,
       result.columns_frozen,                  result.rcl_losses};
-  hash = fnv1a_bytes(counters, sizeof(counters), hash);
-  return hash;
+  return fnv1a64(std::as_bytes(std::span(counters)), hash);
 }
 
 /// Per-RA, per-slice diurnal arrival profiles covering the whole day.
@@ -245,9 +233,7 @@ CityRun run_city(const CityConfig& config) {
                                : 0.0;
 
   // --- Report ---------------------------------------------------------------
-  run.trajectory_digest = fnv1a_bytes(
-      run.period_digests.data(), run.period_digests.size() * sizeof(std::uint64_t),
-      14695981039346656037ULL);
+  run.trajectory_digest = fnv1a64(std::as_bytes(std::span(run.period_digests)));
   run.arena = system.period_arena().stats();
   if (run.arena_upstream_after_warmup == 0) {
     run.arena_upstream_after_warmup = run.arena.upstream_allocations;

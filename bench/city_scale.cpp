@@ -17,12 +17,10 @@
 #include "city_common.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common.h"
+#include "common/json.h"
 
 using namespace edgeslice;
 using namespace edgeslice::bench;
@@ -30,9 +28,10 @@ using namespace edgeslice::bench;
 namespace {
 
 /// Every field BENCH_city.json carries, in emission order. The docs check
-/// (tests/docs_check.cmake) pins each name to EXPERIMENTS.md, and main()
-/// verifies the emitted document covers exactly this table — so a field
-/// cannot be added, renamed, or dropped without the docs following.
+/// (tests/docs_check.cmake) pins each name to EXPERIMENTS.md, and
+/// BenchReport::write refuses a document that does not match it exactly —
+/// so a field cannot be added, renamed, or dropped without the docs
+/// following.
 constexpr const char* kCityBenchFields[] = {
     "ras",
     "slices_per_ra",
@@ -54,83 +53,34 @@ constexpr const char* kCityBenchFields[] = {
     "trajectory_digest",
 };
 
-std::string json_number(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::string json_array(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_number(values[i]);
-  }
-  return out + "]";
-}
-
 /// Write the report, field order and names exactly per kCityBenchFields.
 bool write_city_json(const std::string& path, const city::CityConfig& config,
                      std::size_t threads, const city::CityRun& run) {
-  std::vector<std::pair<std::string, std::string>> fields;
-  fields.emplace_back("ras", json_number(static_cast<double>(config.ras)));
-  fields.emplace_back("slices_per_ra",
-                      json_number(static_cast<double>(config.slices_per_ra)));
-  fields.emplace_back("periods", json_number(static_cast<double>(config.periods)));
-  fields.emplace_back("intervals_per_period",
-                      json_number(static_cast<double>(config.intervals_per_period)));
-  fields.emplace_back("seed", json_number(static_cast<double>(config.seed)));
-  fields.emplace_back("threads", json_number(static_cast<double>(threads)));
-  fields.emplace_back("start_period",
-                      json_number(static_cast<double>(run.start_period)));
-  fields.emplace_back("periods_run", json_number(static_cast<double>(run.periods_run)));
-  fields.emplace_back("wall_seconds", json_number(run.wall_seconds));
-  fields.emplace_back("periods_per_second", json_number(run.periods_per_second));
-  fields.emplace_back("p99_coordinator_solve_seconds",
-                      json_number(run.p99_solve_seconds));
-  fields.emplace_back("total_performance", json_number(run.total_performance));
-  fields.emplace_back("sla_violations",
-                      json_number(static_cast<double>(run.sla_violations)));
-  fields.emplace_back("sla_violation_rate", json_number(run.sla_violation_rate));
-  fields.emplace_back("slice_violation_rates", json_array(run.slice_violation_rates));
-  fields.emplace_back(
-      "arena_upstream_allocations",
-      json_number(static_cast<double>(run.arena.upstream_allocations)));
-  fields.emplace_back("arena_high_water_bytes",
-                      json_number(static_cast<double>(run.arena.high_water_bytes)));
-  fields.emplace_back("trajectory_digest",
-                      "\"" + city::digest_hex(run.trajectory_digest) + "\"");
-
-  constexpr std::size_t kFieldCount =
-      sizeof(kCityBenchFields) / sizeof(kCityBenchFields[0]);
-  if (fields.size() != kFieldCount) {
-    std::fprintf(stderr, "[city] field table out of sync with emission\n");
+  BenchReport report(kCityBenchFields);
+  report.number("ras", config.ras);
+  report.number("slices_per_ra", config.slices_per_ra);
+  report.number("periods", config.periods);
+  report.number("intervals_per_period", config.intervals_per_period);
+  report.number("seed", config.seed);
+  report.number("threads", threads);
+  report.number("start_period", run.start_period);
+  report.number("periods_run", run.periods_run);
+  report.number("wall_seconds", run.wall_seconds);
+  report.number("periods_per_second", run.periods_per_second);
+  report.number("p99_coordinator_solve_seconds", run.p99_solve_seconds);
+  report.number("total_performance", run.total_performance);
+  report.number("sla_violations", run.sla_violations);
+  report.number("sla_violation_rate", run.sla_violation_rate);
+  report.numbers("slice_violation_rates", run.slice_violation_rates);
+  report.number("arena_upstream_allocations", run.arena.upstream_allocations);
+  report.number("arena_high_water_bytes", run.arena.high_water_bytes);
+  report.text("trajectory_digest", city::digest_hex(run.trajectory_digest));
+  std::string error;
+  if (!report.write(path, error)) {
+    std::fprintf(stderr, "[city] %s\n", error.c_str());
     return false;
   }
-  for (std::size_t i = 0; i < kFieldCount; ++i) {
-    if (fields[i].first != kCityBenchFields[i]) {
-      std::fprintf(stderr, "[city] field %zu is \"%s\", table says \"%s\"\n", i,
-                   fields[i].first.c_str(), kCityBenchFields[i]);
-      return false;
-    }
-  }
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      std::fprintf(stderr, "[city] cannot write %s\n", tmp.c_str());
-      return false;
-    }
-    out << "{\n";
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      out << "  \"" << fields[i].first << "\": " << fields[i].second;
-      out << (i + 1 < fields.size() ? ",\n" : "\n");
-    }
-    out << "}\n";
-  }
-  std::remove(path.c_str());
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return true;
 }
 
 }  // namespace

@@ -3,13 +3,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "ckpt/agent_cache.h"
+#include "common/binio.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace_span.h"
 #include "core/policies.h"
@@ -117,18 +118,13 @@ std::filesystem::path agent_cache_dir() {
 /// never silently alias (FORMATS.md Sec. 3).
 std::string agent_fingerprint(const Setup& setup, rl::Algorithm algorithm,
                               bool traffic_in_state) {
-  const auto canonical = [](double v) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-    return std::string(buffer);
-  };
   std::ostringstream out;
   out << "artifact = agent\n";
   out << "algorithm = " << rl::algorithm_name(algorithm) << "\n";
   out << "slices = " << setup.slices << "\n";
   out << "intervals_per_period = " << setup.intervals_per_period << "\n";
-  out << "arrival_rate = " << canonical(setup.arrival_rate) << "\n";
-  out << "alpha = " << canonical(setup.alpha) << "\n";
+  out << "arrival_rate = " << json_number(setup.arrival_rate) << "\n";
+  out << "alpha = " << json_number(setup.alpha) << "\n";
   out << "performance = " << (setup.service_time_perf ? "st" : "qp") << "\n";
   out << "state = " << (traffic_in_state ? "full" : "nt") << "\n";
   out << "train_steps = " << setup.train_steps << "\n";
@@ -136,23 +132,8 @@ std::string agent_fingerprint(const Setup& setup, rl::Algorithm algorithm,
   return out.str();
 }
 
-/// Pre-content-addressed cache filename (name-mangled .mlp text files).
-/// Still read as a fallback; hits are migrated to content-addressed
-/// entries so the legacy file is consulted at most once per config.
-std::filesystem::path legacy_cache_path_for(const Setup& setup, rl::Algorithm algorithm,
-                                            bool traffic_in_state) {
-  std::ostringstream name;
-  name << rl::algorithm_name(algorithm) << "_s" << setup.slices << "_T"
-       << setup.intervals_per_period << "_a" << setup.alpha << "_"
-       << (setup.service_time_perf ? "st" : "qp") << "_"
-       << (traffic_in_state ? "full" : "nt") << "_n" << setup.train_steps << "_seed"
-       << setup.seed << ".mlp";
-  return agent_cache_dir() / name.str();
-}
-
-/// Cache lookup: content-addressed entry first, then the legacy v0 name
-/// (migrated forward on hit). Corrupt entries are reported and ignored —
-/// the bench retrains rather than aborts.
+/// Cache lookup by content address. A corrupt entry is reported and
+/// ignored — the bench retrains rather than aborts.
 std::optional<nn::Mlp> load_cached_policy(const Setup& setup, rl::Algorithm algorithm,
                                           bool traffic_in_state) {
   const auto dir = agent_cache_dir();
@@ -166,20 +147,6 @@ std::optional<nn::Mlp> load_cached_policy(const Setup& setup, rl::Algorithm algo
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[bench] ignoring corrupt cache entry: %s\n", e.what());
-  }
-  const auto legacy = legacy_cache_path_for(setup, algorithm, traffic_in_state);
-  if (std::filesystem::exists(legacy)) {
-    try {
-      std::ifstream in(legacy);
-      nn::Mlp policy = nn::Mlp::load(in);
-      std::fprintf(stderr, "[bench] migrating legacy cached policy %s\n",
-                   legacy.c_str());
-      ckpt::store_policy(dir.string(), fingerprint, policy);
-      return policy;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[bench] ignoring unreadable legacy cache entry %s: %s\n",
-                   legacy.c_str(), e.what());
-    }
   }
   return std::nullopt;
 }
@@ -445,7 +412,7 @@ std::unique_ptr<obs::RollingSnapshotWriter> g_snapshot_writer;
 /// exports its metrics without touching each main(): one JSON document
 /// combining the registry (counters/gauges/histograms), the tracer
 /// (per-span, per-period timings) and the flight-recorder window.
-/// Written via <path>.tmp + rename, so an exit racing a reader (or a
+/// Published via atomic_write_file, so an exit racing a reader (or a
 /// crash inside the dump itself) never leaves a truncated file.
 void dump_metrics_at_exit() {
   if (g_metrics_out_path.empty()) return;
@@ -457,21 +424,18 @@ void dump_metrics_at_exit() {
   std::fprintf(stderr, "[bench] wrote metrics to %s\n", g_metrics_out_path.c_str());
 }
 
-/// End-of-run flight-recorder dump (also via tmp + rename). On a crash
-/// the signal/terminate handlers installed by set_crash_dump_path write
-/// the same path directly instead.
+/// End-of-run flight-recorder dump (also via atomic_write_file). On a
+/// crash the signal/terminate handlers installed by set_crash_dump_path
+/// write the same path directly instead.
 void dump_events_at_exit() {
   if (g_events_out_path.empty()) return;
-  const std::string tmp = g_events_out_path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      std::fprintf(stderr, "[bench] cannot write events to %s\n", tmp.c_str());
-      return;
-    }
-    obs::global_event_log().write_jsonl(out);
+  std::ostringstream out;
+  obs::global_event_log().write_jsonl(out);
+  if (!atomic_write_file(g_events_out_path, out.str())) {
+    std::fprintf(stderr, "[bench] cannot write events to %s\n",
+                 g_events_out_path.c_str());
+    return;
   }
-  std::rename(tmp.c_str(), g_events_out_path.c_str());
   std::fprintf(stderr, "[bench] wrote events to %s\n", g_events_out_path.c_str());
 }
 

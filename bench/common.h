@@ -170,7 +170,7 @@ RunResult run_contender(const Setup& setup, Contender contender, Rng& rng,
 /// unchanged by it:
 ///   --metrics-out <path>      (EDGESLICE_METRICS_OUT) exit hook writing
 ///       metrics + spans + events as one JSON document, atomically
-///       (<path>.tmp then rename).
+///       (atomic_write_file).
 ///   --telemetry-port <port>   (EDGESLICE_TELEMETRY_PORT) localhost HTTP
 ///       server with /metrics (Prometheus), /events.json, /spans.json,
 ///       /healthz; port 0 picks an ephemeral port (printed to stderr).

@@ -21,10 +21,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 
 #include "common.h"
+#include "common/json.h"
 #include "env/service_model.h"
 #include "nn/gemm.h"
 #include "rl/frozen.h"
@@ -177,59 +177,33 @@ InferenceTiming time_deployment(const Setup& setup, bool batched,
   return out;
 }
 
-/// Everything BENCH_training.json records.
-struct BenchRecord {
-  std::size_t threads_requested = 0;
-  std::size_t threads_timed = 0;
-  bool oversubscribed = false;
-  std::size_t timing_jobs = 0;
-  std::size_t timing_steps = 0;
-  double sequential_seconds = 0.0;
-  double parallel_seconds = 0.0;
-  bool bit_identical = false;
-  const char* gemm_backend = "?";
-  double matmul_gflops = 0.0;         // the run's active backend
-  double matmul_gflops_scalar = 0.0;
-  double matmul_gflops_avx2 = 0.0;    // 0 when the CPU lacks AVX2+FMA
-  double inference_steps_per_second_batched = 0.0;
-  double inference_steps_per_second_unbatched = 0.0;
-  bool inference_bit_identical = false;
+/// Every field BENCH_training.json carries, in emission order. The docs
+/// check (tests/docs_check.cmake) pins each name to FORMATS.md, and
+/// BenchReport::write refuses a document that does not match it exactly.
+constexpr const char* kTrainingBenchFields[] = {
+    "threads",
+    "threads_timed",
+    "oversubscribed",
+    "hardware_threads",
+    "timing_jobs",
+    "timing_steps_per_job",
+    "sequential_seconds",
+    "parallel_seconds",
+    "speedup",
+    "bit_identical",
+    "gemm_backend",
+    "matmul_gflops",
+    "matmul_gflops_scalar",
+    "matmul_gflops_avx2",
+    "inference_steps_per_second_batched",
+    "inference_steps_per_second_unbatched",
+    "inference_batched_speedup",
+    "inference_bit_identical",
 };
 
-void write_bench_json(const BenchRecord& r) {
-  const auto json_bool = [](bool b) { return b ? "true" : "false"; };
-  std::ofstream out("BENCH_training.json");
-  out << "{\n";
-  out << "  \"threads\": " << r.threads_requested << ",\n";
-  out << "  \"threads_timed\": " << r.threads_timed << ",\n";
-  out << "  \"oversubscribed\": " << json_bool(r.oversubscribed) << ",\n";
-  out << "  \"hardware_threads\": " << ThreadPool::hardware_threads() << ",\n";
-  out << "  \"timing_jobs\": " << r.timing_jobs << ",\n";
-  out << "  \"timing_steps_per_job\": " << r.timing_steps << ",\n";
-  out << "  \"sequential_seconds\": " << r.sequential_seconds << ",\n";
-  out << "  \"parallel_seconds\": " << r.parallel_seconds << ",\n";
-  out << "  \"speedup\": "
-      << (r.parallel_seconds > 0.0 ? r.sequential_seconds / r.parallel_seconds
-                                   : 0.0)
-      << ",\n";
-  out << "  \"bit_identical\": " << json_bool(r.bit_identical) << ",\n";
-  out << "  \"gemm_backend\": \"" << r.gemm_backend << "\",\n";
-  out << "  \"matmul_gflops\": " << r.matmul_gflops << ",\n";
-  out << "  \"matmul_gflops_scalar\": " << r.matmul_gflops_scalar << ",\n";
-  out << "  \"matmul_gflops_avx2\": " << r.matmul_gflops_avx2 << ",\n";
-  out << "  \"inference_steps_per_second_batched\": "
-      << r.inference_steps_per_second_batched << ",\n";
-  out << "  \"inference_steps_per_second_unbatched\": "
-      << r.inference_steps_per_second_unbatched << ",\n";
-  out << "  \"inference_batched_speedup\": "
-      << (r.inference_steps_per_second_unbatched > 0.0
-              ? r.inference_steps_per_second_batched /
-                    r.inference_steps_per_second_unbatched
-              : 0.0)
-      << ",\n";
-  out << "  \"inference_bit_identical\": " << json_bool(r.inference_bit_identical)
-      << "\n";
-  out << "}\n";
+/// numerator / denominator, or 0 when the denominator is not positive.
+double ratio(double numerator, double denominator) {
+  return denominator > 0.0 ? numerator / denominator : 0.0;
 }
 
 }  // namespace
@@ -251,53 +225,57 @@ int main(int argc, char** argv) {
   // nonsense like "speedup": 0.95. The requested count is still recorded,
   // with oversubscribed = true flagging the clamp.
   {
-    BenchRecord record;
-    record.threads_requested = base.threads;
-    record.threads_timed =
+    BenchReport report(kTrainingBenchFields);
+    const std::size_t threads_timed =
         std::min(base.threads, std::max<std::size_t>(ThreadPool::hardware_threads(), 1));
-    record.oversubscribed = base.threads > record.threads_timed;
-    if (record.oversubscribed) {
+    if (base.threads > threads_timed) {
       std::fprintf(stderr,
                    "[bench] %zu threads requested on %zu hardware threads; "
                    "timing with %zu (oversubscribed)\n",
-                   base.threads, ThreadPool::hardware_threads(),
-                   record.threads_timed);
+                   base.threads, ThreadPool::hardware_threads(), threads_timed);
     }
-    record.timing_jobs = 4;
-    record.timing_steps = std::min<std::size_t>(base.train_steps, 2000);
+    const std::size_t timing_jobs = 4;
+    const std::size_t timing_steps = std::min<std::size_t>(base.train_steps, 2000);
+    report.number("threads", base.threads);
+    report.number("threads_timed", threads_timed);
+    report.flag("oversubscribed", base.threads > threads_timed);
+    report.number("hardware_threads", ThreadPool::hardware_threads());
+    report.number("timing_jobs", timing_jobs);
+    report.number("timing_steps_per_job", timing_steps);
     std::fprintf(stderr, "[bench] timing %zu training jobs x %zu steps ...\n",
-                 record.timing_jobs, record.timing_steps);
+                 timing_jobs, timing_steps);
     std::optional<ThreadPool> timing_pool;
-    if (record.threads_timed > 1) timing_pool.emplace(record.threads_timed);
+    if (threads_timed > 1) timing_pool.emplace(threads_timed);
     const TimedBatch sequential =
-        time_training_batch(record.timing_jobs, record.timing_steps, base.seed,
-                            nullptr);
-    const TimedBatch parallel =
-        time_training_batch(record.timing_jobs, record.timing_steps, base.seed,
-                            timing_pool ? &*timing_pool : nullptr);
-    record.sequential_seconds = sequential.seconds;
-    record.parallel_seconds = parallel.seconds;
-    record.bit_identical = sequential.results.size() == parallel.results.size();
-    for (std::size_t i = 0; record.bit_identical && i < sequential.results.size();
-         ++i) {
-      record.bit_identical = sequential.results[i].reward_history ==
-                                 parallel.results[i].reward_history &&
-                             sequential.results[i].final_mean_reward ==
-                                 parallel.results[i].final_mean_reward;
+        time_training_batch(timing_jobs, timing_steps, base.seed, nullptr);
+    const TimedBatch parallel = time_training_batch(
+        timing_jobs, timing_steps, base.seed, timing_pool ? &*timing_pool : nullptr);
+    bool bit_identical = sequential.results.size() == parallel.results.size();
+    for (std::size_t i = 0; bit_identical && i < sequential.results.size(); ++i) {
+      bit_identical = sequential.results[i].reward_history ==
+                          parallel.results[i].reward_history &&
+                      sequential.results[i].final_mean_reward ==
+                          parallel.results[i].final_mean_reward;
     }
+    const double speedup = ratio(sequential.seconds, parallel.seconds);
+    report.number("sequential_seconds", sequential.seconds);
+    report.number("parallel_seconds", parallel.seconds);
+    report.number("speedup", speedup);
+    report.flag("bit_identical", bit_identical);
 
     // Kernel-only GFLOP/s for every backend this CPU can run, then
     // restore the run's backend for everything that follows.
     const nn::GemmBackend active = nn::active_gemm_backend();
-    record.gemm_backend = nn::gemm_backend_name(active);
-    record.matmul_gflops_scalar = measure_matmul_gflops(nn::GemmBackend::Scalar);
-    if (nn::cpu_supports_avx2_fma()) {
-      record.matmul_gflops_avx2 = measure_matmul_gflops(nn::GemmBackend::Avx2);
-    }
+    const double gflops_scalar = measure_matmul_gflops(nn::GemmBackend::Scalar);
+    const double gflops_avx2 = nn::cpu_supports_avx2_fma()
+                                   ? measure_matmul_gflops(nn::GemmBackend::Avx2)
+                                   : 0.0;
     nn::set_gemm_backend(active);
-    record.matmul_gflops = active == nn::GemmBackend::Avx2
-                               ? record.matmul_gflops_avx2
-                               : record.matmul_gflops_scalar;
+    const double gflops = active == nn::GemmBackend::Avx2 ? gflops_avx2 : gflops_scalar;
+    report.text("gemm_backend", nn::gemm_backend_name(active));
+    report.number("matmul_gflops", gflops);
+    report.number("matmul_gflops_scalar", gflops_scalar);
+    report.number("matmul_gflops_avx2", gflops_avx2);
 
     // Deployment inference throughput, batched vs per-agent, same fleet.
     // An untimed warm-up run first (the first fleet construction faults in
@@ -309,37 +287,37 @@ int main(int argc, char** argv) {
     const std::size_t inference_periods = 150;
     time_deployment(base, /*batched=*/false, 2);
     InferenceTiming unbatched, batched;
-    record.inference_bit_identical = true;
+    bool inference_bit_identical = true;
     for (int sample = 0; sample < 3; ++sample) {
       const InferenceTiming u =
           time_deployment(base, /*batched=*/false, inference_periods);
       const InferenceTiming b =
           time_deployment(base, /*batched=*/true, inference_periods);
-      record.inference_bit_identical = record.inference_bit_identical &&
-                                       u.period_performance ==
-                                           b.period_performance;
+      inference_bit_identical =
+          inference_bit_identical && u.period_performance == b.period_performance;
       if (sample == 0 || u.seconds < unbatched.seconds) unbatched = u;
       if (sample == 0 || b.seconds < batched.seconds) batched = b;
     }
-    record.inference_steps_per_second_batched = batched.steps_per_second;
-    record.inference_steps_per_second_unbatched = unbatched.steps_per_second;
+    report.number("inference_steps_per_second_batched", batched.steps_per_second);
+    report.number("inference_steps_per_second_unbatched", unbatched.steps_per_second);
+    report.number("inference_batched_speedup",
+                  ratio(batched.steps_per_second, unbatched.steps_per_second));
+    report.flag("inference_bit_identical", inference_bit_identical);
 
-    write_bench_json(record);
+    std::string error;
+    if (!report.write("BENCH_training.json", error)) {
+      std::fprintf(stderr, "[bench] %s\n", error.c_str());
+      return 2;
+    }
     std::fprintf(stderr,
                  "[bench] sequential %.2fs, parallel %.2fs (x%.2f, %s), "
                  "matmul %.2f GFLOP/s (scalar %.2f, avx2 %.2f), "
                  "inference %.0f steps/s batched vs %.0f unbatched (%s) "
                  "-> BENCH_training.json\n",
-                 record.sequential_seconds, record.parallel_seconds,
-                 record.parallel_seconds > 0.0
-                     ? record.sequential_seconds / record.parallel_seconds
-                     : 0.0,
-                 record.bit_identical ? "bit-identical" : "MISMATCH",
-                 record.matmul_gflops, record.matmul_gflops_scalar,
-                 record.matmul_gflops_avx2,
-                 record.inference_steps_per_second_batched,
-                 record.inference_steps_per_second_unbatched,
-                 record.inference_bit_identical ? "bit-identical" : "MISMATCH");
+                 sequential.seconds, parallel.seconds, speedup,
+                 bit_identical ? "bit-identical" : "MISMATCH", gflops, gflops_scalar,
+                 gflops_avx2, batched.steps_per_second, unbatched.steps_per_second,
+                 inference_bit_identical ? "bit-identical" : "MISMATCH");
   }
 
   // ---- (a): training-step sweep -------------------------------------------

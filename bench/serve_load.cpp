@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/cli.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "nn/gemm.h"
@@ -39,8 +39,8 @@ namespace {
 
 /// Every field BENCH_serving.json carries, in emission order. The docs
 /// check (tests/docs_check.cmake) pins each name to FORMATS.md, and
-/// write_serving_json verifies the emitted document covers exactly this
-/// table — a field cannot be added, renamed, or dropped without the docs
+/// BenchReport::write refuses a document that does not match it exactly —
+/// a field cannot be added, renamed, or dropped without the docs
 /// following.
 constexpr const char* kServeBenchFields[] = {
     "state_dim",
@@ -93,75 +93,39 @@ struct LoadResult {
   double server_p50 = 0.0, server_p99 = 0.0;
 };
 
-std::string json_number(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 /// Write the report, field order and names exactly per kServeBenchFields.
 bool write_serving_json(const std::string& path, const LoadConfig& config,
                         const LoadResult& result) {
-  std::vector<std::pair<std::string, std::string>> fields;
-  const auto count = [](std::size_t v) {
-    return json_number(static_cast<double>(v));
-  };
-  fields.emplace_back("state_dim", count(config.state_dim));
-  fields.emplace_back("action_dim", count(config.action_dim));
-  fields.emplace_back("hidden_dim", count(config.hidden_dim));
-  fields.emplace_back("batch_max", count(config.batch_max));
-  fields.emplace_back("queue_limit", count(config.queue_limit));
-  fields.emplace_back("connections", count(config.connections));
-  fields.emplace_back("offered_rate", json_number(config.offered_rate));
-  fields.emplace_back("requests", count(config.requests));
-  fields.emplace_back("seed", count(static_cast<std::size_t>(config.seed)));
-  fields.emplace_back("gemm_backend",
-                      std::string("\"") +
-                          nn::gemm_backend_name(nn::active_gemm_backend()) + "\"");
-  fields.emplace_back("wall_seconds", json_number(result.wall_seconds));
-  fields.emplace_back("sent", count(result.sent));
-  fields.emplace_back("decided", count(result.decided));
-  fields.emplace_back("shed", count(result.shed));
-  fields.emplace_back("rejected", count(result.rejected));
-  fields.emplace_back("lost", count(result.lost));
-  fields.emplace_back("achieved_rate", json_number(result.achieved_rate));
-  fields.emplace_back("shed_rate", json_number(result.shed_rate));
-  fields.emplace_back("p50_decision_seconds", json_number(result.p50));
-  fields.emplace_back("p99_decision_seconds", json_number(result.p99));
-  fields.emplace_back("p999_decision_seconds", json_number(result.p999));
-  fields.emplace_back("p50_server_seconds", json_number(result.server_p50));
-  fields.emplace_back("p99_server_seconds", json_number(result.server_p99));
-
-  constexpr std::size_t kFieldCount =
-      sizeof(kServeBenchFields) / sizeof(kServeBenchFields[0]);
-  if (fields.size() != kFieldCount) {
-    std::fprintf(stderr, "[serve_load] field table out of sync with emission\n");
+  BenchReport report(kServeBenchFields);
+  report.number("state_dim", config.state_dim);
+  report.number("action_dim", config.action_dim);
+  report.number("hidden_dim", config.hidden_dim);
+  report.number("batch_max", config.batch_max);
+  report.number("queue_limit", config.queue_limit);
+  report.number("connections", config.connections);
+  report.number("offered_rate", config.offered_rate);
+  report.number("requests", config.requests);
+  report.number("seed", config.seed);
+  report.text("gemm_backend", nn::gemm_backend_name(nn::active_gemm_backend()));
+  report.number("wall_seconds", result.wall_seconds);
+  report.number("sent", result.sent);
+  report.number("decided", result.decided);
+  report.number("shed", result.shed);
+  report.number("rejected", result.rejected);
+  report.number("lost", result.lost);
+  report.number("achieved_rate", result.achieved_rate);
+  report.number("shed_rate", result.shed_rate);
+  report.number("p50_decision_seconds", result.p50);
+  report.number("p99_decision_seconds", result.p99);
+  report.number("p999_decision_seconds", result.p999);
+  report.number("p50_server_seconds", result.server_p50);
+  report.number("p99_server_seconds", result.server_p99);
+  std::string error;
+  if (!report.write(path, error)) {
+    std::fprintf(stderr, "[serve_load] %s\n", error.c_str());
     return false;
   }
-  for (std::size_t i = 0; i < kFieldCount; ++i) {
-    if (fields[i].first != kServeBenchFields[i]) {
-      std::fprintf(stderr, "[serve_load] field %zu is \"%s\", table says \"%s\"\n",
-                   i, fields[i].first.c_str(), kServeBenchFields[i]);
-      return false;
-    }
-  }
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      std::fprintf(stderr, "[serve_load] cannot write %s\n", tmp.c_str());
-      return false;
-    }
-    out << "{\n";
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      out << "  \"" << fields[i].first << "\": " << fields[i].second;
-      out << (i + 1 < fields.size() ? ",\n" : "\n");
-    }
-    out << "}\n";
-  }
-  std::remove(path.c_str());
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return true;
 }
 
 double elapsed_seconds(std::chrono::steady_clock::time_point start) {

@@ -1,24 +1,19 @@
 #include "ckpt/agent_cache.h"
 
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
 #include "ckpt/container.h"
+#include "common/hash.h"
 
 namespace edgeslice::ckpt {
 
 std::string fingerprint_digest(const std::string& fingerprint) {
-  // FNV-1a, 64-bit (offset basis / prime per the reference parameters).
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : fingerprint) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
   char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(fingerprint)));
   return std::string(hex, 16);
 }
 

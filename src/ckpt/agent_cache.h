@@ -7,8 +7,7 @@
 // filename, so adding a knob can never silently alias two different
 // configurations: the fingerprint itself is stored inside the entry and
 // verified byte-for-byte on load. Entries are v1 ESCK containers holding
-// one Policy section; the legacy name-mangled "<name>.mlp" text files of
-// earlier releases remain readable as a fallback (FORMATS.md Sec. 3).
+// one Policy section (FORMATS.md Sec. 3).
 #pragma once
 
 #include <optional>
@@ -18,8 +17,8 @@
 
 namespace edgeslice::ckpt {
 
-/// 64-bit FNV-1a of the fingerprint text, rendered as 16 lowercase hex
-/// digits — the content address.
+/// 64-bit FNV-1a (common/hash.h) of the fingerprint text, rendered as 16
+/// lowercase hex digits — the content address.
 std::string fingerprint_digest(const std::string& fingerprint);
 
 /// Path of the cache entry for `fingerprint` under `dir`:

@@ -14,8 +14,9 @@
 // config so a checkpoint can never be restored into a system of a
 // different shape by accident.
 //
-// Writers assemble in memory and publish via tmp+rename, so a crash (or
-// a reader racing the writer) never observes a torn checkpoint. Readers
+// Writers assemble in memory and publish via atomic_write_file (tmp,
+// fsync, rename, directory fsync), so a crash (or a reader racing the
+// writer) never observes a torn checkpoint. Readers
 // validate magic, version, both CRC levels, and every length prefix
 // before allocating; corruption of any kind throws std::runtime_error —
 // never UB (the hostile-file tests drive these paths under the

@@ -3,9 +3,10 @@
 // A long run with --checkpoint-every used to rewrite one file in place;
 // rotation instead writes one container per boundary —
 // "<base>.p<period>" — and prunes the oldest files only AFTER the new
-// one is durably published (tmp + rename inside CheckpointWriter). The
-// invariant that matters for crash safety: at every instant at least one
-// valid checkpoint exists on disk once the first save has completed. A
+// one is durably published (atomic_write_file inside CheckpointWriter:
+// fsync, rename, directory fsync). The invariant that matters for crash
+// safety: at every instant at least one valid checkpoint exists on disk
+// once the first save has completed. A
 // crash mid-save leaves the previous files untouched (the tmp never
 // replaces anything); a crash mid-prune leaves extra files, never fewer.
 //

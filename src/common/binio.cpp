@@ -1,9 +1,13 @@
 #include "common/binio.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -129,23 +133,52 @@ std::uint32_t crc32(const void* data, std::size_t size) {
 
 std::uint32_t crc32(const std::string& bytes) { return crc32(bytes.data(), bytes.size()); }
 
-bool atomic_write_file(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
+namespace {
+
+/// write(2) all of `bytes`, resuming after short writes and EINTR.
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool fsync_retrying(int fd) {
+  int rc = 0;
+  do {
+    rc = ::fsync(fd);
+  } while (rc != 0 && errno == EINTR);
+  return rc == 0;
+}
+
+/// Make a completed rename durable: fsync the directory holding `path`.
+bool fsync_parent_dir(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = fsync_retrying(fd);
+  ::close(fd);
+  return synced;
+}
+
+}  // namespace
+
+bool atomic_write_file(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  const bool written = write_all(fd, bytes) && fsync_retrying(fd);
+  const bool closed = ::close(fd) == 0;
+  if (!written || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  return fsync_parent_dir(path);
 }
 
 }  // namespace edgeslice

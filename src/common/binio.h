@@ -58,10 +58,13 @@ std::uint32_t crc32(const std::string& bytes);
 
 // --- Atomic file replacement ----------------------------------------------
 
-/// Write `bytes` to "<path>.tmp" then rename over `path`, so a crash (or
-/// a reader racing the writer) never observes a truncated file — the same
-/// discipline as obs::write_observability_snapshot. Returns false when
-/// the file cannot be written (the tmp file is removed best-effort).
+/// The repo's one way to publish a file. Writes `bytes` to "<path>.tmp",
+/// fsyncs it, renames it over `path`, then fsyncs the parent directory,
+/// so a crash (or a reader racing the writer) observes either the old
+/// complete file or the new one, never a truncation, and a true return
+/// means the new file survives power loss. Returns false when any step
+/// fails; a failure before the rename leaves `path` untouched and
+/// removes the tmp file.
 bool atomic_write_file(const std::string& path, const std::string& bytes);
 
 }  // namespace edgeslice

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "ckpt/container.h"
 #include "common/binio.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace_span.h"
 #include "obs/event_log.h"
@@ -401,17 +401,6 @@ std::vector<PeriodResult> EdgeSliceSystem::run(std::size_t periods) {
   return results;
 }
 
-namespace {
-
-/// Canonical double rendering for fingerprints: shortest exact form.
-std::string canonical(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-}  // namespace
-
 std::string EdgeSliceSystem::config_fingerprint() const {
   const CoordinatorConfig& c = coordinator_.config();
   std::ostringstream out;
@@ -422,12 +411,12 @@ std::string EdgeSliceSystem::config_fingerprint() const {
       << environments_.front()->config().intervals_per_period << "\n";
   out << "use_coordinator = " << (config_.use_coordinator ? 1 : 0) << "\n";
   out << "max_report_staleness = " << config_.max_report_staleness << "\n";
-  out << "rho = " << canonical(c.rho) << "\n";
+  out << "rho = " << json_number(c.rho) << "\n";
   out << "u_min =";
-  for (double u : c.u_min) out << " " << canonical(u);
+  for (double u : c.u_min) out << " " << json_number(u);
   out << "\n";
-  out << "admm.abs_tol = " << canonical(c.stopping.absolute_tolerance) << "\n";
-  out << "admm.rel_tol = " << canonical(c.stopping.relative_tolerance) << "\n";
+  out << "admm.abs_tol = " << json_number(c.stopping.absolute_tolerance) << "\n";
+  out << "admm.rel_tol = " << json_number(c.stopping.relative_tolerance) << "\n";
   out << "admm.min_iterations = " << c.stopping.min_iterations << "\n";
   out << "admm.max_iterations = " << c.stopping.max_iterations << "\n";
   return out.str();

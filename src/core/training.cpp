@@ -1,6 +1,5 @@
 #include "core/training.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <sstream>
@@ -8,6 +7,7 @@
 
 #include "ckpt/container.h"
 #include "common/binio.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "common/trace_span.h"
@@ -25,13 +25,6 @@ namespace {
 // much randomness training has consumed in between.
 constexpr std::uint64_t kValidationStreamTag = 0x76a11da7e;
 
-/// Canonical double rendering for fingerprints: shortest exact form.
-std::string canonical(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
 /// Canonical text of everything that shapes the training trajectory.
 /// Stored in the checkpoint header; resume refuses a mismatch. The
 /// checkpoint_* fields themselves are deliberately excluded — saving is
@@ -46,25 +39,25 @@ std::string training_fingerprint(const rl::Agent& agent,
   out << "state_dim = " << agent.state_dim() << "\n";
   out << "action_dim = " << agent.action_dim() << "\n";
   out << "steps = " << config.steps << "\n";
-  out << "coordination_low = " << canonical(config.coordination_low) << "\n";
-  out << "coordination_high = " << canonical(config.coordination_high) << "\n";
+  out << "coordination_low = " << json_number(config.coordination_low) << "\n";
+  out << "coordination_high = " << json_number(config.coordination_high) << "\n";
   out << "boundary_sample_probability = "
-      << canonical(config.boundary_sample_probability) << "\n";
+      << json_number(config.boundary_sample_probability) << "\n";
   out << "resample_every = " << config.resample_every << "\n";
   out << "reset_on_resample = " << (config.reset_on_resample ? 1 : 0) << "\n";
   out << "randomize_traffic = " << (config.randomize_traffic ? 1 : 0) << "\n";
-  out << "traffic_low = " << canonical(config.traffic_low) << "\n";
-  out << "traffic_high = " << canonical(config.traffic_high) << "\n";
+  out << "traffic_low = " << json_number(config.traffic_low) << "\n";
+  out << "traffic_high = " << json_number(config.traffic_high) << "\n";
   out << "validation_every = " << config.validation_every << "\n";
   out << "validation_intervals = " << config.validation_intervals << "\n";
-  out << "validation_coordination = " << canonical(config.validation_coordination)
+  out << "validation_coordination = " << json_number(config.validation_coordination)
       << "\n";
-  out << "validation_arrival_rate = " << canonical(config.validation_arrival_rate)
+  out << "validation_arrival_rate = " << json_number(config.validation_arrival_rate)
       << "\n";
   out << "env.slices = " << e.slices << "\n";
   out << "env.intervals_per_period = " << e.intervals_per_period << "\n";
   out << "env.max_queue = " << e.max_queue << "\n";
-  out << "env.arrival_rate = " << canonical(e.arrival_rate) << "\n";
+  out << "env.arrival_rate = " << json_number(e.arrival_rate) << "\n";
   out << "env.include_traffic_in_state = " << (e.include_traffic_in_state ? 1 : 0)
       << "\n";
   return out.str();

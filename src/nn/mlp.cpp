@@ -1,8 +1,6 @@
 #include "nn/mlp.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -185,63 +183,6 @@ std::vector<double> Mlp::flat_gradients() const {
     g.insert(g.end(), b.begin(), b.end());
   }
   return g;
-}
-
-void Mlp::save(std::ostream& out) const {
-  out << "mlp v1\n" << layers_.size() + 1 << "\n";
-  out << layers_.front().in_dim();
-  for (const auto& layer : layers_) out << " " << layer.out_dim();
-  out << "\n";
-  for (const auto& layer : layers_) {
-    out << static_cast<int>(layer.activation()) << " ";
-  }
-  out << "\n";
-  char buffer[32];
-  for (const double v : flat_parameters()) {
-    std::snprintf(buffer, sizeof(buffer), "%a\n", v);
-    out << buffer;
-  }
-}
-
-Mlp Mlp::load(std::istream& in) {
-  std::string magic;
-  std::string version;
-  in >> magic >> version;
-  if (magic != "mlp" || version != "v1")
-    throw std::runtime_error("Mlp::load: bad header");
-  std::size_t size_count = 0;
-  in >> size_count;
-  if (!in || size_count < 2 || size_count > 64)
-    throw std::runtime_error("Mlp::load: bad sizes");
-  std::vector<std::size_t> sizes(size_count);
-  for (auto& s : sizes) in >> s;
-  std::vector<int> activations(size_count - 1);
-  for (auto& a : activations) in >> a;
-  if (!in) throw std::runtime_error("Mlp::load: truncated header");
-  validate_architecture(sizes, activations, "Mlp::load");
-
-  Mlp net = build_for_load(sizes, activations);
-  std::vector<double> theta(net.parameter_count());
-  std::string token;
-  for (std::size_t i = 0; i < theta.size(); ++i) {
-    in >> token;
-    if (!in) {
-      throw std::runtime_error("Mlp::load: truncated parameters (" +
-                               describe_offset(sizes, i) + ")");
-    }
-    char* end = nullptr;
-    theta[i] = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      throw std::runtime_error("Mlp::load: malformed parameter \"" + token + "\" (" +
-                               describe_offset(sizes, i) + ")");
-    }
-    if (!std::isfinite(theta[i])) {
-      throw std::runtime_error("Mlp::load: non-finite parameter (" +
-                               describe_offset(sizes, i) + ")");
-    }
-  }
-  net.set_flat_parameters(theta);
-  return net;
 }
 
 void Mlp::save_binary(std::ostream& out) const {

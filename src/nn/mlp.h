@@ -66,18 +66,12 @@ class Mlp {
   /// Layer sizes {in, hidden..., out} (the constructor's `sizes`).
   std::vector<std::size_t> layer_sizes() const;
 
-  /// Text serialization: architecture (sizes + activations) and parameters.
-  /// Round-trips exactly (values written as hex doubles). This is the
-  /// legacy ".mlp" cache format (FORMATS.md "Legacy .mlp"); load()
-  /// validates the header (size and activation ranges), rejects
-  /// non-finite parameters, and reports the layer/offset at which a
-  /// truncated parameter block ends.
-  void save(std::ostream& out) const;
-  static Mlp load(std::istream& in);
-
   /// Binary serialization via common/binio (little-endian, exact f64 bit
-  /// patterns) — the "mlp network blob" embedded in checkpoint sections
-  /// (FORMATS.md). Same validation posture as the text loader.
+  /// patterns): architecture (sizes + activations), then parameters — the
+  /// "mlp network blob" embedded in checkpoint sections (FORMATS.md).
+  /// load_binary() validates the header (size and activation ranges)
+  /// before allocating, rejects non-finite parameters, and names the
+  /// layer/offset at which a truncated parameter block ends.
   void save_binary(std::ostream& out) const;
   static Mlp load_binary(std::istream& in);
 

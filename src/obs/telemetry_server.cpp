@@ -11,9 +11,9 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 
+#include "common/binio.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace_span.h"
@@ -244,23 +244,15 @@ void TelemetryServer::handle_client(int client_fd) {
 }
 
 bool write_observability_snapshot(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    out << "{\n\"metrics\": ";
-    global_metrics().write_json(out);
-    out << ",\n\"spans\": ";
-    global_tracer().write_json(out);
-    out << ",\n\"events\": ";
-    global_event_log().write_json_array(out);
-    out << "\n}\n";
-    out.flush();
-    if (!out) return false;
-  }
-  // Atomic replace: a reader (or a crash between these lines) sees either
-  // the previous complete snapshot or the new one, never a truncation.
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  std::ostringstream out;
+  out << "{\n\"metrics\": ";
+  global_metrics().write_json(out);
+  out << ",\n\"spans\": ";
+  global_tracer().write_json(out);
+  out << ",\n\"events\": ";
+  global_event_log().write_json_array(out);
+  out << "\n}\n";
+  return atomic_write_file(path, out.str());
 }
 
 RollingSnapshotWriter::RollingSnapshotWriter(std::string path,

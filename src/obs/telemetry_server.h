@@ -19,7 +19,7 @@
 //
 //  * RollingSnapshotWriter — rewrites a JSON observability snapshot
 //    (metrics + spans + events) every N orchestration periods during a
-//    long run, atomically (write <path>.tmp, then rename), so a crash
+//    long run, atomically (common/binio.h atomic_write_file), so a crash
 //    mid-run leaves the previous complete snapshot instead of nothing —
 //    and never a truncated file. Benches enable it with
 //    --metrics-interval.
@@ -84,9 +84,8 @@ class TelemetryServer {
 };
 
 /// Write one combined observability snapshot — {"metrics": ..., "spans":
-/// ..., "events": [...]} — to `path` atomically: the document is written
-/// to "<path>.tmp" and renamed over `path` only once complete. Returns
-/// false when the file cannot be written.
+/// ..., "events": [...]} — to `path` via atomic_write_file. Returns false
+/// when the file cannot be written.
 bool write_observability_snapshot(const std::string& path);
 
 class RollingSnapshotWriter {

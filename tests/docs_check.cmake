@@ -4,8 +4,8 @@
 # Run as: cmake -DREPO_ROOT=<repo> -P docs_check.cmake
 # Fails when src/ckpt/format.h bumps kCkptFormatVersion (or src/ipc/frame.h
 # bumps kFrameFormatVersion) without FORMATS.md documenting the same
-# version, or when FORMATS.md stops covering one of the artifact families
-# it claims to spec.
+# version, when FORMATS.md stops covering one of the artifact families
+# it claims to spec, or when a BENCH_*.json report field is undocumented.
 
 if(NOT DEFINED REPO_ROOT)
   message(FATAL_ERROR "docs_check: pass -DREPO_ROOT=<repository root>")
@@ -85,7 +85,6 @@ list(LENGTH frame_types frame_type_count)
 foreach(family
     "ESCK"               # checkpoint container
     "ESFR"               # coordinator <-> worker wire frame
-    "mlp v1"             # legacy agent-cache text format
     "JSON"               # observability snapshot (metrics + spans + events)
     "JSONL"              # flight-recorder event stream
     "CSV")               # trace datasets
@@ -130,71 +129,49 @@ if(NOT experiments_text MATCHES "EDGESLICE_GEMM=${gemm_mode_pattern}")
       "kGemmModeNames")
 endif()
 
-# The city bench's report schema: every field bench/city_scale.cpp emits
-# into BENCH_city.json (the kCityBenchFields table, which main() verifies
-# against the actual emission) must be documented in EXPERIMENTS.md as
-# `field`, so a field cannot be added, renamed, or dropped without the
-# docs following.
-set(city_bench "${REPO_ROOT}/bench/city_scale.cpp")
-if(NOT EXISTS "${city_bench}")
-  message(FATAL_ERROR "docs_check: ${city_bench} not found")
-endif()
-file(READ "${city_bench}" city_text)
-if(NOT city_text MATCHES "kCityBenchFields\\[\\] = {([^}]*)}")
-  message(FATAL_ERROR "docs_check: kCityBenchFields not found in ${city_bench}")
-endif()
-string(REGEX MATCHALL "\"([a-z0-9_]+)\"" city_field_tokens "${CMAKE_MATCH_1}")
-if(NOT city_field_tokens)
-  message(FATAL_ERROR "docs_check: kCityBenchFields is empty in ${city_bench}")
-endif()
-set(city_fields "")
-foreach(token ${city_field_tokens})
-  string(REPLACE "\"" "" token "${token}")
-  list(APPEND city_fields "${token}")
-  if(NOT experiments_text MATCHES "`${token}`")
-    message(FATAL_ERROR
-        "docs_check: BENCH_city.json field \"${token}\" (kCityBenchFields in "
-        "bench/city_scale.cpp) is not documented in EXPERIMENTS.md — every "
-        "emitted field must appear there as \\`${token}\\`")
+# Every BENCH_*.json report schema: each field a bench emits (its schema
+# table, which BenchReport::write checks against the actual emission)
+# must be documented as `field` in the named doc, so a field cannot be
+# added, renamed, or dropped without the docs following. One entry per
+# report: "<bench source>|<schema table>|<doc>".
+set(report_summary "")
+foreach(report
+    "bench/city_scale.cpp|kCityBenchFields|EXPERIMENTS.md"
+    "bench/serve_load.cpp|kServeBenchFields|FORMATS.md"
+    "bench/fig10_training.cpp|kTrainingBenchFields|FORMATS.md")
+  string(REPLACE "|" ";" report "${report}")
+  list(GET report 0 report_source)
+  list(GET report 1 report_table)
+  list(GET report 2 report_doc)
+  if(NOT EXISTS "${REPO_ROOT}/${report_source}")
+    message(FATAL_ERROR "docs_check: ${REPO_ROOT}/${report_source} not found")
   endif()
-endforeach()
-list(LENGTH city_fields city_field_count)
-
-# The serving bench's report schema: every field bench/serve_load.cpp
-# emits into BENCH_serving.json (the kServeBenchFields table, which
-# write_serving_json verifies against the actual emission) must be
-# documented in FORMATS.md as `field` — the serving report is a wire
-# artifact other tools (bench_ledger) parse, so its schema lives with
-# the format specs.
-set(serve_bench "${REPO_ROOT}/bench/serve_load.cpp")
-if(NOT EXISTS "${serve_bench}")
-  message(FATAL_ERROR "docs_check: ${serve_bench} not found")
-endif()
-file(READ "${serve_bench}" serve_text)
-if(NOT serve_text MATCHES "kServeBenchFields\\[\\] = {([^}]*)}")
-  message(FATAL_ERROR "docs_check: kServeBenchFields not found in ${serve_bench}")
-endif()
-string(REGEX MATCHALL "\"([a-z0-9_]+)\"" serve_field_tokens "${CMAKE_MATCH_1}")
-if(NOT serve_field_tokens)
-  message(FATAL_ERROR "docs_check: kServeBenchFields is empty in ${serve_bench}")
-endif()
-set(serve_fields "")
-foreach(token ${serve_field_tokens})
-  string(REPLACE "\"" "" token "${token}")
-  list(APPEND serve_fields "${token}")
-  if(NOT doc_text MATCHES "`${token}`")
-    message(FATAL_ERROR
-        "docs_check: BENCH_serving.json field \"${token}\" (kServeBenchFields in "
-        "bench/serve_load.cpp) is not documented in FORMATS.md — every emitted "
-        "field must appear there as \\`${token}\\`")
+  file(READ "${REPO_ROOT}/${report_source}" report_text)
+  if(NOT report_text MATCHES "${report_table}\\[\\] = {([^}]*)}")
+    message(FATAL_ERROR "docs_check: ${report_table} not found in ${report_source}")
   endif()
+  string(REGEX MATCHALL "\"([a-z0-9_]+)\"" field_tokens "${CMAKE_MATCH_1}")
+  if(NOT field_tokens)
+    message(FATAL_ERROR "docs_check: ${report_table} is empty in ${report_source}")
+  endif()
+  file(READ "${REPO_ROOT}/${report_doc}" report_doc_text)
+  foreach(token ${field_tokens})
+    string(REPLACE "\"" "" token "${token}")
+    if(NOT report_doc_text MATCHES "`${token}`")
+      message(FATAL_ERROR
+          "docs_check: report field \"${token}\" (${report_table} in "
+          "${report_source}) is not documented in ${report_doc} — every "
+          "emitted field must appear there as \\`${token}\\`")
+    endif()
+  endforeach()
+  list(LENGTH field_tokens field_count)
+  list(APPEND report_summary "${field_count} ${report_table}")
 endforeach()
-list(LENGTH serve_fields serve_field_count)
+list(JOIN report_summary ", " report_summary)
 
 message(STATUS "docs_check: FORMATS.md documents checkpoint format version "
                "${code_version}, wire frame format version ${frame_version}, "
-               "all ${frame_type_count} frame types, all "
-               "${serve_field_count} BENCH_serving.json fields, and all "
-               "artifact families; EXPERIMENTS.md documents "
-               "EDGESLICE_GEMM=${gemm_mode_phrase} and all "
-               "${city_field_count} BENCH_city.json fields")
+               "all ${frame_type_count} frame types and all artifact "
+               "families; EXPERIMENTS.md documents "
+               "EDGESLICE_GEMM=${gemm_mode_phrase}; every report field is "
+               "documented (${report_summary})")

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <string>
 
+#include "common/hash.h"
+
 namespace edgeslice::tools {
 namespace {
 
@@ -52,6 +54,37 @@ TEST(BenchLedger, FingerprintCoversConfigOnly) {
   const std::size_t pos = other.find("\"ras\": 100");
   other.replace(pos, 10, "\"ras\": 200");
   EXPECT_NE(make_entry(other, "sha1", "city").fingerprint, a.fingerprint);
+}
+
+// Regression: the ledger once seeded its hash with 1469598103934665603
+// (a digit short of the FNV-1a offset basis), so every fingerprint
+// differed from the FNV-1a that FORMATS.md documents.
+TEST(BenchLedger, FingerprintIsReferenceFnv1a) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(config_fingerprint({}), "0xcbf29ce484222325");
+  char expected[32];
+  std::snprintf(expected, sizeof(expected), "0x%016llx",
+                static_cast<unsigned long long>(fnv1a64("ras=100\nseed=1\n")));
+  EXPECT_EQ(config_fingerprint({{"seed", "1"}, {"ras", "100"}}), expected);
+}
+
+// Regression: labels were escaped only for '"', '\\' and '\n', so a tab
+// or another control byte wrote a line that is not RFC 8259 JSON, and
+// the reader decoded \b, \f and \uXXXX wrongly.
+TEST(BenchLedger, ControlBytesInLabelsRoundTrip) {
+  BenchEntry entry = make_entry(city_doc(640.0, 0.002), "sha\b", "a\tb\x01" "c\f");
+  entry.config["gemm_backend"] = "x\x1fy";
+  const std::string line = encode_entry(entry);
+  for (const char c : line) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << "raw control byte in " << line;
+  }
+  const BenchEntry back = decode_entry(line);
+  EXPECT_EQ(back.sha, "sha\b");
+  EXPECT_EQ(back.label, "a\tb\x01" "c\f");
+  EXPECT_EQ(back.config, entry.config);
+  EXPECT_EQ(back.metrics, entry.metrics);
 }
 
 TEST(BenchLedger, MakeEntrySplitsConfigFromMetrics) {

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/binio.h"
 #include "common/rng.h"
 
 namespace edgeslice::nn {
@@ -134,99 +139,97 @@ TEST(Mlp, FlatParameterRoundTrip) {
   EXPECT_THROW(net.set_flat_parameters(theta), std::invalid_argument);
 }
 
+std::string save_bytes(const Mlp& net) {
+  std::ostringstream out;
+  net.save_binary(out);
+  return out.str();
+}
+
+Mlp load_bytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return Mlp::load_binary(in);
+}
+
+/// A load_binary header declaring `sizes` and `activations`, no parameters.
+std::string header_bytes(const std::vector<std::uint64_t>& sizes,
+                         const std::vector<std::uint8_t>& activations) {
+  std::ostringstream out;
+  write_u32(out, static_cast<std::uint32_t>(sizes.size()));
+  for (const std::uint64_t s : sizes) write_u64(out, s);
+  for (const std::uint8_t a : activations) write_u8(out, a);
+  return out.str();
+}
+
+/// load_binary must throw a runtime_error whose message has every needle.
+void expect_load_error(const std::string& bytes,
+                       const std::vector<std::string>& needles) {
+  try {
+    load_bytes(bytes);
+    ADD_FAILURE() << "load_binary accepted invalid input";
+  } catch (const std::runtime_error& e) {
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Mlp, SaveLoadRoundTripsExactly) {
   Rng rng(21);
   Mlp net({3, 7, 2}, Activation::LeakyRelu, Activation::Sigmoid, rng);
-  std::stringstream stream;
-  net.save(stream);
-  const Mlp loaded = Mlp::load(stream);
+  const Mlp loaded = load_bytes(save_bytes(net));
   EXPECT_EQ(loaded.in_dim(), 3u);
   EXPECT_EQ(loaded.out_dim(), 2u);
   EXPECT_EQ(loaded.layers()[0].activation(), Activation::LeakyRelu);
   EXPECT_EQ(loaded.layers()[1].activation(), Activation::Sigmoid);
+  EXPECT_EQ(loaded.flat_parameters(), net.flat_parameters());
   const std::vector<double> x{0.31, -0.87, 1.44};
-  EXPECT_EQ(net.infer_vector(x), loaded.infer_vector(x));  // bit-exact (hex floats)
+  EXPECT_EQ(net.infer_vector(x), loaded.infer_vector(x));  // bit-exact
 }
 
 TEST(Mlp, LoadRejectsGarbage) {
-  std::stringstream bad("not an mlp");
-  EXPECT_THROW(Mlp::load(bad), std::runtime_error);
-  std::stringstream truncated("mlp v1\n3\n2 4 1\n2 4\n0x1p+0\n");
-  EXPECT_THROW(Mlp::load(truncated), std::runtime_error);
+  expect_load_error("", {"truncated"});
+  // "not " read as a little-endian layer count is ~5e8 layers.
+  expect_load_error("not an mlp", {"bad layer count"});
+  Rng rng(30);
+  const std::string blob =
+      save_bytes(Mlp({2, 4, 1}, Activation::Relu, Activation::Identity, rng));
+  expect_load_error(blob.substr(0, 10), {"truncated"});  // inside the header
+  std::string bad_activation = header_bytes({2, 4, 1}, {0, 200});
+  expect_load_error(bad_activation, {"bad activation code 200", "layer 1"});
 }
 
-// Regression: Mlp::load once parsed parameters with `in >> double`, so a
-// token like "banana" silently read as 0.0 and NaN/inf weights loaded
-// "successfully" — the deployed policy then produced NaN allocations with
-// no hint of why. The loader now rejects both, naming the layer and
-// offset that broke.
+// Regression: the loader once accepted NaN/inf weights "successfully" —
+// the deployed policy then produced NaN allocations with no hint of why.
+// It now rejects them, naming the layer and offset that broke.
 TEST(Mlp, LoadRejectsNonFiniteParameterNamingLayer) {
   Rng rng(31);
-  Mlp net({2, 3, 1}, Activation::Relu, Activation::Identity, rng);
-  std::stringstream stream;
-  net.save(stream);
-  std::string text = stream.str();
-  // Replace the final parameter line (the output layer's bias) with inf.
-  const std::size_t last_line = text.rfind("0x", text.size() - 2);
-  ASSERT_NE(last_line, std::string::npos);
-  text.replace(last_line, text.size() - 1 - last_line, "inf");
-  std::stringstream bad(text);
-  try {
-    Mlp::load(bad);
-    FAIL() << "non-finite parameter accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("non-finite parameter"), std::string::npos) << what;
-    EXPECT_NE(what.find("layer"), std::string::npos) << what;
-  }
-}
-
-TEST(Mlp, LoadRejectsMalformedParameterToken) {
-  Rng rng(32);
-  Mlp net({2, 3, 1}, Activation::Relu, Activation::Identity, rng);
-  std::stringstream stream;
-  net.save(stream);
-  std::string text = stream.str();
-  const std::size_t last_line = text.rfind("0x", text.size() - 2);
-  ASSERT_NE(last_line, std::string::npos);
-  text.replace(last_line, text.size() - 1 - last_line, "banana");
-  std::stringstream bad(text);
-  try {
-    Mlp::load(bad);
-    FAIL() << "malformed parameter accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("malformed parameter"), std::string::npos)
-        << e.what();
-  }
+  std::string blob =
+      save_bytes(Mlp({2, 3, 1}, Activation::Relu, Activation::Identity, rng));
+  // Overwrite the final parameter (the output layer's bias) with +inf.
+  std::ostringstream inf;
+  write_f64(inf, std::numeric_limits<double>::infinity());
+  blob.replace(blob.size() - 8, 8, inf.str());
+  expect_load_error(blob, {"non-finite parameter", "layer 1", "offset 3 of 4"});
 }
 
 TEST(Mlp, LoadRejectsTruncationNamingOffset) {
   Rng rng(33);
-  Mlp net({2, 3, 1}, Activation::Relu, Activation::Identity, rng);
-  std::stringstream stream;
-  net.save(stream);
-  std::string text = stream.str();
-  const std::size_t last_line = text.rfind("0x", text.size() - 2);
-  const std::size_t line_start = text.rfind('\n', last_line);
-  ASSERT_NE(line_start, std::string::npos);
-  text.resize(line_start + 1);  // drop the final parameter line entirely
-  std::stringstream bad(text);
-  try {
-    Mlp::load(bad);
-    FAIL() << "truncated parameters accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated parameters"), std::string::npos)
-        << e.what();
-  }
+  const std::string blob =
+      save_bytes(Mlp({2, 3, 1}, Activation::Relu, Activation::Identity, rng));
+  // Drop the final parameter entirely, then cut one mid-way.
+  expect_load_error(blob.substr(0, blob.size() - 8),
+                    {"truncated parameters", "layer 1", "offset 3 of 4"});
+  expect_load_error(blob.substr(0, blob.size() - 12),
+                    {"truncated parameters", "layer 1", "offset 2 of 4"});
 }
 
 TEST(Mlp, LoadRejectsHostileHeaderBeforeAllocating) {
-  // 64 layers of width 2^20 would be a ~4 TiB allocation if the caps did
-  // not fire first.
-  std::stringstream huge("mlp v1\n3\n1048577 2 1\n2 4\n");
-  EXPECT_THROW(Mlp::load(huge), std::runtime_error);
-  std::stringstream many("mlp v1\n65\n");
-  EXPECT_THROW(Mlp::load(many), std::runtime_error);
+  // Each header would demand a multi-gigabyte allocation if the caps did
+  // not fire first; none carries a single parameter byte.
+  expect_load_error(header_bytes({1048577, 2, 1}, {0, 0}), {"bad layer size"});
+  expect_load_error(header_bytes({1u << 20, 1u << 20}, {0}), {"parameter count"});
+  expect_load_error(header_bytes(std::vector<std::uint64_t>(65, 2), {}),
+                    {"bad layer count"});
 }
 
 TEST(Mlp, CopyConstructorClones) {

@@ -46,8 +46,8 @@ TEST(FrozenActor, RoundTripsThroughSerialization) {
   ASSERT_NE(agent.policy_network(), nullptr);
 
   std::stringstream stream;
-  agent.policy_network()->save(stream);
-  FrozenActor frozen(nn::Mlp::load(stream), agent.name());
+  agent.policy_network()->save_binary(stream);
+  FrozenActor frozen(nn::Mlp::load_binary(stream), agent.name());
 
   const std::vector<double> s{0.4, -0.2, 0.9};
   EXPECT_EQ(frozen.act(s, false), agent.act(s, false));

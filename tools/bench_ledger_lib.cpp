@@ -1,12 +1,14 @@
 #include "bench_ledger_lib.h"
 
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/hash.h"
 
 namespace edgeslice::tools {
 
@@ -14,77 +16,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("bench_ledger: " + what);
-}
-
-std::size_t skip_ws(const std::string& s, std::size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
-    ++i;
-  return i;
-}
-
-/// Read a JSON string starting at the opening quote; returns the
-/// unescaped contents and advances past the closing quote.
-std::string read_string(const std::string& s, std::size_t& i) {
-  if (i >= s.size() || s[i] != '"') fail("expected string");
-  ++i;
-  std::string out;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\') {
-      ++i;
-      if (i >= s.size()) fail("truncated escape");
-      switch (s[i]) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        default: out.push_back(s[i]); break;
-      }
-    } else {
-      out.push_back(s[i]);
-    }
-    ++i;
-  }
-  if (i >= s.size()) fail("unterminated string");
-  ++i;  // closing quote
-  return out;
-}
-
-/// Skip a balanced [...] or {...} (strings handled), starting at the
-/// opening bracket; advances past the matching close.
-void skip_nested(const std::string& s, std::size_t& i) {
-  int depth = 0;
-  do {
-    if (i >= s.size()) fail("unterminated array/object");
-    const char c = s[i];
-    if (c == '"') {
-      read_string(s, i);
-      continue;
-    }
-    if (c == '[' || c == '{') ++depth;
-    if (c == ']' || c == '}') --depth;
-    ++i;
-  } while (depth > 0);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Format a double the way the benches do: enough digits to round-trip.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 bool parse_double(const std::string& token, double& out) {
@@ -95,46 +26,6 @@ bool parse_double(const std::string& token, double& out) {
 }
 
 }  // namespace
-
-std::map<std::string, std::string> parse_flat_json(const std::string& text) {
-  std::map<std::string, std::string> fields;
-  std::size_t i = skip_ws(text, 0);
-  if (i >= text.size() || text[i] != '{') fail("expected object");
-  ++i;
-  i = skip_ws(text, i);
-  if (i < text.size() && text[i] == '}') return fields;
-  for (;;) {
-    i = skip_ws(text, i);
-    const std::string key = read_string(text, i);
-    i = skip_ws(text, i);
-    if (i >= text.size() || text[i] != ':') fail("expected ':' after key " + key);
-    ++i;
-    i = skip_ws(text, i);
-    if (i >= text.size()) fail("truncated value of " + key);
-    if (text[i] == '"') {
-      fields[key] = read_string(text, i);
-    } else if (text[i] == '[' || text[i] == '{') {
-      skip_nested(text, i);  // arrays/objects are not ledger material
-    } else {
-      std::string token;
-      while (i < text.size() && text[i] != ',' && text[i] != '}' &&
-             text[i] != ' ' && text[i] != '\n' && text[i] != '\t' && text[i] != '\r') {
-        token.push_back(text[i]);
-        ++i;
-      }
-      if (token.empty()) fail("empty value of " + key);
-      fields[key] = token;
-    }
-    i = skip_ws(text, i);
-    if (i >= text.size()) fail("unterminated object");
-    if (text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (text[i] == '}') return fields;
-    fail("expected ',' or '}' after value of " + key);
-  }
-}
 
 bool is_config_key(const std::string& key) {
   static const char* kConfigKeys[] = {
@@ -151,21 +42,13 @@ bool is_config_key(const std::string& key) {
 }
 
 std::string config_fingerprint(const std::map<std::string, std::string>& config) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
-  const auto mix = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-  };
+  std::string text;
   for (const auto& [key, value] : config) {  // std::map: sorted keys
-    mix(key);
-    mix("=");
-    mix(value);
-    mix("\n");
+    text += key + "=" + value + "\n";
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(h));
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(fnv1a64(text)));
   return buf;
 }
 
@@ -190,15 +73,26 @@ BenchEntry make_entry(const std::string& bench_json, const std::string& sha,
 
 std::string encode_entry(const BenchEntry& entry) {
   std::ostringstream out;
-  out << "{\"sha\": \"" << json_escape(entry.sha) << "\", \"label\": \""
-      << json_escape(entry.label) << "\", \"fingerprint\": \""
-      << json_escape(entry.fingerprint) << "\"";
-  for (const auto& [key, value] : entry.config) {
-    out << ", \"config." << json_escape(key) << "\": \"" << json_escape(value)
-        << "\"";
+  const char* separator = "{";
+  const auto key = [&](std::string_view name) {
+    out << separator;
+    separator = ", ";
+    write_json_escaped(out, name);
+    out << ": ";
+  };
+  key("sha");
+  write_json_escaped(out, entry.sha);
+  key("label");
+  write_json_escaped(out, entry.label);
+  key("fingerprint");
+  write_json_escaped(out, entry.fingerprint);
+  for (const auto& [name, value] : entry.config) {
+    key("config." + name);
+    write_json_escaped(out, value);
   }
-  for (const auto& [key, value] : entry.metrics) {
-    out << ", \"metric." << json_escape(key) << "\": " << format_double(value);
+  for (const auto& [name, value] : entry.metrics) {
+    key("metric." + name);
+    out << json_number(value);
   }
   out << "}";
   return out.str();
@@ -235,7 +129,7 @@ std::vector<BenchEntry> load_history(const std::string& path) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    if (skip_ws(line, 0) >= line.size()) continue;  // blank
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;  // blank
     try {
       entries.push_back(decode_entry(line));
     } catch (const std::exception& e) {

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace edgeslice::tools {
 
 /// One ledger entry: identity + raw config fields + numeric metrics.
@@ -29,17 +31,15 @@ struct BenchEntry {
   std::map<std::string, double> metrics;
 };
 
-/// Parse the top-level scalar fields of one flat JSON object into
-/// key -> raw value token ("640.44", "\"avx2\"" stripped to avx2, "true").
-/// Nested arrays/objects are skipped wholesale. Throws std::runtime_error
-/// on malformed input.
-std::map<std::string, std::string> parse_flat_json(const std::string& text);
+/// The flat-report reader shared with the benches' BenchReport writer.
+using edgeslice::parse_flat_json;
 
 /// True for fields that describe the run's configuration (scale, seed,
 /// thread count, backend) rather than its measured outcome.
 bool is_config_key(const std::string& key);
 
-/// FNV-1a 64 over the sorted "key=value" config pairs, "0x%016x"-formatted.
+/// FNV-1a 64 (common/hash.h) over the sorted "key=value\n" config pairs,
+/// "0x%016x"-formatted.
 std::string config_fingerprint(const std::map<std::string, std::string>& config);
 
 /// Build an entry from a BENCH_*.json document: config keys are
@@ -49,7 +49,8 @@ BenchEntry make_entry(const std::string& bench_json, const std::string& sha,
 
 /// One JSONL line: {"sha":..., "label":..., "fingerprint":...,
 /// "config.<k>":..., "metric.<k>":...} — flat on purpose, so
-/// decode_entry reuses parse_flat_json.
+/// decode_entry reuses parse_flat_json. Strings are escaped per RFC 8259
+/// (write_json_escaped) and metrics rendered exactly (json_number).
 std::string encode_entry(const BenchEntry& entry);
 BenchEntry decode_entry(const std::string& line);
 
