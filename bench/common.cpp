@@ -15,9 +15,9 @@
 #include "common/trace_span.h"
 #include "core/policies.h"
 #include "ipc/supervisor.h"
+#include "ipc/telemetry_server.h"
 #include "nn/gemm.h"
 #include "obs/event_log.h"
-#include "obs/telemetry_server.h"
 #include "rl/frozen.h"
 #include "rl/sac.h"
 

@@ -12,41 +12,6 @@
 
 namespace edgeslice::ipc {
 
-namespace {
-
-std::uint32_t stored_payload_crc(const char* header) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<std::uint8_t>(header[32 + i]);
-  return v;
-}
-
-}  // namespace
-
-std::vector<Frame> FrameAssembler::feed(const char* data, std::size_t size) {
-  buffer_.append(data, size);
-  std::vector<Frame> frames;
-  for (;;) {
-    if (buffer_.size() < kFrameHeaderSize) break;
-    Frame frame;
-    std::uint64_t payload_len = 0;
-    decode_frame_header(buffer_.data(), frame, payload_len);  // throws
-    if (buffer_.size() < kFrameHeaderSize + payload_len) break;
-    frame.payload = buffer_.substr(kFrameHeaderSize,
-                                   static_cast<std::size_t>(payload_len));
-    verify_frame_payload(stored_payload_crc(buffer_.data()), frame.payload);
-    if (frame.seq != next_seq_) {
-      throw std::runtime_error("ipc frame: seq break (expected " +
-                               std::to_string(next_seq_) + ", got " +
-                               std::to_string(frame.seq) + ")");
-    }
-    ++next_seq_;
-    buffer_.erase(0, kFrameHeaderSize + static_cast<std::size_t>(payload_len));
-    frames.push_back(std::move(frame));
-  }
-  return frames;
-}
-
 void PollLoop::add(int fd, FrameHandler on_frame, CloseHandler on_close) {
   if (find(fd) != nullptr)
     throw std::invalid_argument("PollLoop: fd already registered");

@@ -1,11 +1,13 @@
 // A small poll(2)-based event loop multiplexing the supervisor's worker
-// sockets.
+// sockets, the policy-serve daemon's clients, and the listening sockets
+// of both servers (policy-serve and telemetry): the repo's one accept
+// loop.
 //
-// Each registered fd gets a FrameAssembler that turns the fd's byte
-// stream back into validated frames (partial reads are buffered across
-// poll rounds; both CRCs and strict seq monotonicity are enforced before
-// a frame is surfaced). The loop is deliberately single-threaded and
-// deadline-driven: run_until() pumps all fds until the caller's
+// Each registered fd gets a FrameAssembler (frame.h) that turns the fd's
+// byte stream back into validated frames (partial reads are buffered
+// across poll rounds; both CRCs and strict seq monotonicity are enforced
+// before a frame is surfaced). The loop is deliberately single-threaded
+// and deadline-driven: run_until() pumps all fds until the caller's
 // predicate is satisfied or the deadline passes, which is exactly the
 // "collect traces from every worker, declare stragglers hung" shape the
 // supervisor needs — a stalled worker costs the deadline, never a
@@ -13,31 +15,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "ipc/frame.h"
 
 namespace edgeslice::ipc {
-
-/// Incremental frame reassembly for one connection's byte stream.
-/// feed() throws std::runtime_error on any protocol violation (bad
-/// magic/CRC/version, absurd length, seq break) — the connection is
-/// corrupt and must be torn down.
-class FrameAssembler {
- public:
-  /// Append raw bytes; returns every frame completed by them, in order.
-  std::vector<Frame> feed(const char* data, std::size_t size);
-
-  /// Bytes buffered waiting for the rest of a frame.
-  std::size_t pending_bytes() const { return buffer_.size(); }
-
- private:
-  std::string buffer_;
-  std::uint64_t next_seq_ = 0;
-};
 
 class PollLoop {
  public:
@@ -59,8 +42,8 @@ class PollLoop {
   /// Register a listening socket: while the loop runs, readiness on it
   /// accepts every pending connection (accept4 with SOCK_NONBLOCK, then
   /// TCP_NODELAY) and hands each new fd to `on_accept`. The policy-serve
-  /// daemon is the consumer; the supervisor's fixed socketpair fan-in
-  /// never needs one.
+  /// daemon and the telemetry server are the consumers; the supervisor's
+  /// fixed socketpair fan-in never needs one.
   void add_listener(int fd, AcceptHandler on_accept);
   void remove_listener(int fd);
 

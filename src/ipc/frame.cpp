@@ -1,11 +1,5 @@
 #include "ipc/frame.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -39,15 +33,6 @@ std::uint64_t get_u64(const char* p) {
   return v;
 }
 
-/// send(2) with MSG_NOSIGNAL when the fd is a socket, falling back to
-/// write(2) for pipes/files (ENOTSOCK). SIGPIPE is additionally ignored
-/// process-wide by the supervisor, so either path is EPIPE, not death.
-ssize_t write_some(int fd, const char* data, std::size_t size) {
-  const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-  if (n < 0 && errno == ENOTSOCK) return ::write(fd, data, size);
-  return n;
-}
-
 }  // namespace
 
 const char* frame_type_name(FrameType type) {
@@ -68,16 +53,6 @@ const char* frame_type_name(FrameType type) {
     case FrameType::DecideRequest: return "decide_request";
     case FrameType::DecideResponse: return "decide_response";
     case FrameType::ServeStatus: return "serve_status";
-  }
-  return "unknown";
-}
-
-const char* io_result_name(IoResult result) {
-  switch (result) {
-    case IoResult::Ok: return "ok";
-    case IoResult::Deadline: return "deadline";
-    case IoResult::Closed: return "closed";
-    case IoResult::Error: return "error";
   }
   return "unknown";
 }
@@ -122,109 +97,57 @@ void verify_frame_payload(std::uint32_t expected_crc, const std::string& payload
     throw std::runtime_error("ipc frame: payload CRC mismatch");
 }
 
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+std::vector<Frame> FrameAssembler::feed(const char* data, std::size_t size) {
+  buffer_.append(data, size);
+  std::vector<Frame> frames;
+  for (;;) {
+    if (buffer_.size() < kFrameHeaderSize) break;
+    Frame frame;
+    std::uint64_t payload_len = 0;
+    decode_frame_header(buffer_.data(), frame, payload_len);  // throws
+    if (buffer_.size() < kFrameHeaderSize + payload_len) break;
+    frame.payload = buffer_.substr(kFrameHeaderSize,
+                                   static_cast<std::size_t>(payload_len));
+    verify_frame_payload(get_u32(buffer_.data() + 32), frame.payload);
+    if (frame.seq != next_seq_) {
+      throw std::runtime_error("ipc frame: seq break (expected " +
+                               std::to_string(next_seq_) + ", got " +
+                               std::to_string(frame.seq) + ")");
+    }
+    ++next_seq_;
+    buffer_.erase(0, kFrameHeaderSize + static_cast<std::size_t>(payload_len));
+    frames.push_back(std::move(frame));
+  }
+  return frames;
 }
 
 IoResult write_frame(int fd, const Frame& frame, const SendOptions& options) {
   const std::string bytes = encode_frame(frame);
-  const std::int64_t deadline = now_ms() + options.deadline_ms;
-  std::size_t sent = 0;
-  int attempts = 0;
-  int backoff_ms = options.backoff_initial_ms;
+  int retries = 0;
+  const IoResult result = write_all(fd, bytes.data(), bytes.size(), options, &retries);
   // Workers run with metrics disabled (the registry mutex is not
   // fork-safe against the parent's observer threads); guard every touch.
-  const bool counted = metrics_enabled();
-  while (sent < bytes.size()) {
-    const ssize_t n = write_some(fd, bytes.data() + sent, bytes.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;  // never consumes an attempt
-    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) return IoResult::Closed;
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return IoResult::Error;
-    // Socket buffer full (or a zero-byte write): bounded retry with
-    // exponential backoff, waiting poll-side for writability.
-    if (++attempts >= options.max_attempts) return IoResult::Deadline;
-    if (counted) global_metrics().counter("ipc.send_retries").add();
-    const std::int64_t remaining = deadline - now_ms();
-    if (remaining <= 0) return IoResult::Deadline;
-    pollfd pfd{fd, POLLOUT, 0};
-    const int wait =
-        static_cast<int>(remaining < backoff_ms ? remaining : backoff_ms);
-    const int ready = ::poll(&pfd, 1, wait);
-    if (ready < 0 && errno != EINTR) return IoResult::Error;
-    if (ready > 0 && (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-        (pfd.revents & POLLOUT) == 0) {
-      return IoResult::Closed;
-    }
-    backoff_ms = backoff_ms * 2 < options.backoff_max_ms ? backoff_ms * 2
-                                                         : options.backoff_max_ms;
-  }
-  if (counted) {
-    global_metrics().counter("ipc.frames_sent").add();
-    global_metrics().counter("ipc.bytes_sent").add(bytes.size());
-  }
-  return IoResult::Ok;
-}
-
-namespace {
-
-/// Read exactly `size` bytes with a wall-clock deadline; EINTR-safe.
-/// Returns Ok, Deadline, Closed (EOF mid-buffer counts as Closed), Error.
-IoResult read_exact(int fd, char* data, std::size_t size, std::int64_t deadline) {
-  std::size_t got = 0;
-  while (got < size) {
-    const std::int64_t remaining = deadline - now_ms();
-    if (remaining <= 0) return IoResult::Deadline;
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(remaining > 1000 ? 1000 : remaining));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::Error;
-    }
-    if (ready == 0) continue;  // poll slice elapsed; re-check the deadline
-    const ssize_t n = ::read(fd, data + got, size - got);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) return IoResult::Closed;
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    if (errno == ECONNRESET) return IoResult::Closed;
-    return IoResult::Error;
-  }
-  return IoResult::Ok;
-}
-
-}  // namespace
-
-IoResult read_frame(int fd, Frame& out, int deadline_ms) {
-  char header[kFrameHeaderSize];
-  const std::int64_t header_deadline = now_ms() + deadline_ms;
-  const IoResult head = read_exact(fd, header, kFrameHeaderSize, header_deadline);
-  if (head != IoResult::Ok) return head;
-  std::uint64_t payload_len = 0;
-  decode_frame_header(header, out, payload_len);  // throws on corruption
-  const std::uint32_t payload_crc = get_u32(header + 32);
-  out.payload.assign(static_cast<std::size_t>(payload_len), '\0');
-  if (payload_len > 0) {
-    const IoResult body = read_exact(fd, out.payload.data(),
-                                     static_cast<std::size_t>(payload_len),
-                                     now_ms() + deadline_ms);
-    // A peer that died or stalled mid-frame can never resynchronize.
-    if (body != IoResult::Ok) return body == IoResult::Deadline ? body : IoResult::Closed;
-  }
-  verify_frame_payload(payload_crc, out.payload);  // throws on corruption
   if (metrics_enabled()) {
-    global_metrics().counter("ipc.frames_received").add();
-    global_metrics().counter("ipc.bytes_received").add(kFrameHeaderSize +
-                                                       out.payload.size());
+    if (retries > 0) global_metrics().counter("ipc.send_retries").add(retries);
+    if (result == IoResult::Ok) {
+      global_metrics().counter("ipc.frames_sent").add();
+      global_metrics().counter("ipc.bytes_sent").add(bytes.size());
+    }
   }
+  return result;
+}
+
+IoResult FrameReader::read(int fd, Frame& out, int deadline_ms) {
+  const std::int64_t deadline = now_ms() + deadline_ms;
+  char chunk[65536];
+  while (ready_.empty()) {
+    std::size_t got = 0;
+    const IoResult io = read_some(fd, chunk, sizeof(chunk), deadline, got);
+    if (io != IoResult::Ok) return io;
+    for (Frame& frame : assembler_.feed(chunk, got)) ready_.push_back(std::move(frame));
+  }
+  out = std::move(ready_.front());
+  ready_.pop_front();
   return IoResult::Ok;
 }
 

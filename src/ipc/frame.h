@@ -22,16 +22,20 @@
 // be exactly the previous frame's seq + 1; any violation means the
 // channel is corrupt and the connection is torn down, never parsed past.
 //
-// I/O helpers speak POSIX fds (the supervisor's socketpairs): reads and
-// writes are deadline-bounded, EINTR-safe, and handle partial transfers;
-// writes additionally retry with bounded exponential backoff while the
-// socket buffer is full (a stalled peer surfaces as a SendDeadline
-// failure, not a blocked control plane).
+// Frame I/O rides the shared socket layer (socket.h): write_frame is its
+// one write loop, with bounded exponential backoff while the socket
+// buffer is full (a stalled peer surfaces as a Deadline verdict, not a
+// blocked control plane), and FrameReader is its one deadline-bounded
+// read feeding the one decoder, FrameAssembler.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <vector>
+
+#include "ipc/socket.h"
 
 namespace edgeslice::ipc {
 
@@ -95,44 +99,49 @@ void decode_frame_header(const char* bytes, Frame& out, std::uint64_t& payload_l
 /// std::runtime_error on mismatch.
 void verify_frame_payload(std::uint32_t expected_crc, const std::string& payload);
 
-// --- Deadline-bounded fd I/O ----------------------------------------------
+// --- Frame I/O ---------------------------------------------------------------
 
-/// Retry/backoff policy for frame sends. A send attempts the write,
-/// polling for writability up to `deadline_ms` total; every EAGAIN round
-/// waits poll-side with exponential backoff from `backoff_initial_ms`
-/// (doubling, capped at `backoff_max_ms`) and at most `max_attempts`
-/// rounds. EINTR never consumes an attempt.
-struct SendOptions {
-  int deadline_ms = 10000;
-  int max_attempts = 8;
-  int backoff_initial_ms = 1;
-  int backoff_max_ms = 1000;
+/// Incremental frame reassembly for one connection's byte stream: the one
+/// ESFR decoder. feed() throws std::runtime_error on any protocol
+/// violation (bad magic/CRC/version, absurd length, seq break) — the
+/// connection is corrupt and must be torn down.
+class FrameAssembler {
+ public:
+  /// Append raw bytes; returns every frame completed by them, in order.
+  std::vector<Frame> feed(const char* data, std::size_t size);
+
+  /// Bytes buffered waiting for the rest of a frame.
+  std::size_t pending_bytes() const { return buffer_.size(); }
+
+ private:
+  std::string buffer_;
+  std::uint64_t next_seq_ = 0;
 };
 
-enum class IoResult {
-  Ok,
-  Deadline,  // peer did not drain (send) or produce (read) in time
-  Closed,    // EOF / EPIPE / ECONNRESET: the peer is gone
-  Error,     // any other errno
-};
-
-const char* io_result_name(IoResult result);
-
-/// Write one whole frame to `fd` (blocking or non-blocking fd) under
-/// `options`. Partial writes are resumed; EINTR is retried; SIGPIPE is
-/// never raised (writes go through send(MSG_NOSIGNAL) for sockets).
+/// Encode `frame` and write it whole to `fd` under `options`
+/// (socket.h write_all); counts ipc.frames_sent, ipc.bytes_sent and
+/// ipc.send_retries while metrics are enabled.
 IoResult write_frame(int fd, const Frame& frame, const SendOptions& options = {});
 
-/// Read one whole frame from `fd`, waiting at most `deadline_ms` for the
-/// FIRST byte and then at most `deadline_ms` more for the remainder.
-/// Returns Ok and fills `out` on success; Closed on clean EOF before any
-/// byte; Deadline when the peer stalls mid-frame. Throws
-/// std::runtime_error (connection corrupt) on CRC/magic/length
-/// violations.
-IoResult read_frame(int fd, Frame& out, int deadline_ms);
+/// Blocking-style frame reads from one fd: a FrameAssembler fed by
+/// deadline-bounded read_some() calls. Bytes of a partial frame and
+/// frames completed by the same read stay buffered across calls, so a
+/// read that hits its deadline mid-frame loses nothing.
+class FrameReader {
+ public:
+  /// The next frame from `fd`, waiting at most `deadline_ms` for it.
+  /// Ok fills `out`; Deadline when no whole frame arrived in time;
+  /// Closed on EOF (also mid-frame: that peer can never resynchronize);
+  /// Error on a read error. Throws std::runtime_error on a protocol
+  /// violation. A buffered frame is returned without a system call.
+  IoResult read(int fd, Frame& out, int deadline_ms);
 
-/// Monotonic clock in milliseconds (steady_clock based) for deadline
-/// arithmetic shared by the event loop and the supervisor.
-std::int64_t now_ms();
+  /// Frames already received and not yet returned by read().
+  bool has_buffered_frame() const { return !ready_.empty(); }
+
+ private:
+  FrameAssembler assembler_;
+  std::deque<Frame> ready_;
+};
 
 }  // namespace edgeslice::ipc

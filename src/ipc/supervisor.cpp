@@ -13,9 +13,9 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "ipc/telemetry_server.h"
 #include "ipc/wire.h"
 #include "ipc/worker.h"
-#include "obs/telemetry_server.h"
 
 namespace edgeslice::ipc {
 

@@ -1,22 +1,18 @@
-#include "obs/telemetry_server.h"
+#include "ipc/telemetry_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <sstream>
 
 #include "common/binio.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace_span.h"
+#include "ipc/event_loop.h"
+#include "ipc/socket.h"
 #include "obs/aggregator.h"
 #include "obs/event_log.h"
 
@@ -53,42 +49,8 @@ TelemetryServer::~TelemetryServer() { stop(); }
 
 bool TelemetryServer::start() {
   if (running()) return true;
-  // A peer that disconnects mid-response must surface as EPIPE from
-  // send(2), never kill the process. send() already passes MSG_NOSIGNAL;
-  // this covers any future write path too.
-  ::signal(SIGPIPE, SIG_IGN);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    ES_LOG(Warn) << "telemetry: socket() failed: " << std::strerror(errno);
-    return false;
-  }
-  int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ES_LOG(Warn) << "telemetry: bad bind address " << config_.bind_address;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 8) < 0) {
-    ES_LOG(Warn) << "telemetry: cannot listen on " << config_.bind_address << ":"
-                 << config_.port << ": " << std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = config_.port;
-  }
+  listen_fd_ = ipc::listen_tcp(config_.bind_address, config_.port, "telemetry", port_);
+  if (listen_fd_ < 0) return false;
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { serve_loop(); });
@@ -109,52 +71,51 @@ void TelemetryServer::stop() {
 }
 
 void TelemetryServer::serve_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout (stop-flag check) or transient error
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    handle_client(client);
-    ::close(client);
-  }
+  ipc::PollLoop loop;
+  loop.add_listener(listen_fd_, [this](int client_fd) {
+    handle_client(client_fd);
+    ::close(client_fd);
+  });
+  const auto stopping = [this] { return stop_.load(std::memory_order_acquire); };
+  while (!stopping()) loop.run_until(stopping, /*deadline_ms=*/100);
+}
+
+RequestLine parse_request_line(std::string_view bytes) {
+  std::string_view line = bytes.substr(0, bytes.find('\n'));
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string_view::npos) return {};
+  const std::size_t sp2 = line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) return {};
+  RequestLine request;
+  request.method = line.substr(0, sp1);
+  request.path = line.substr(sp1 + 1, sp2 - (sp1 + 1));
+  return request;
 }
 
 namespace {
 
-/// First request line up to CRLF, split into method and path. Reads at
-/// most 4 KiB; telemetry requests carry no interesting headers or body.
-/// A malformed line yields {"", ""}.
-struct RequestLine {
-  std::string method;
-  std::string path;
-};
+/// Budget for one connection's request read, from accept to the end of
+/// its first line (what arrived by then is parsed as it stands), and
+/// again for its response.
+constexpr int kRequestDeadlineMs = 1000;
 
+/// Read until the first LF, 4 KiB, EOF or the request deadline (counted
+/// from accept), whichever comes first; telemetry requests carry no
+/// interesting headers or body.
 RequestLine read_request_line(int fd) {
+  const std::int64_t deadline = ipc::now_ms() + kRequestDeadlineMs;
   char buf[4096];
   std::size_t used = 0;
-  while (used < sizeof(buf) - 1) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/1000);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) break;
-    const ssize_t n = ::recv(fd, buf + used, sizeof(buf) - 1 - used, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    used += static_cast<std::size_t>(n);
-    buf[used] = '\0';
-    if (std::strstr(buf, "\r\n") != nullptr || std::strchr(buf, '\n') != nullptr) break;
+  while (used < sizeof(buf) && std::memchr(buf, '\n', used) == nullptr) {
+    std::size_t got = 0;
+    if (ipc::read_some(fd, buf + used, sizeof(buf) - used, deadline, got) !=
+        ipc::IoResult::Ok) {
+      break;
+    }
+    used += got;
   }
-  buf[used] = '\0';
-  // Parse "METHOD SP path SP ..." — anything malformed yields {"", ""}.
-  const char* sp1 = std::strchr(buf, ' ');
-  if (sp1 == nullptr) return {};
-  const char* sp2 = std::strchr(sp1 + 1, ' ');
-  if (sp2 == nullptr) return {};
-  RequestLine line;
-  line.method.assign(buf, static_cast<std::size_t>(sp1 - buf));
-  line.path.assign(sp1 + 1, static_cast<std::size_t>(sp2 - (sp1 + 1)));
-  return line;
+  return parse_request_line(std::string_view(buf, used));
 }
 
 /// Every response — success or error — goes through here, so the status
@@ -168,33 +129,16 @@ void send_response(int fd, int status, const char* reason, const char* content_t
        << "Content-Type: " << content_type << "\r\n"
        << "Content-Length: " << body.size() << "\r\n";
   if (extra_headers != nullptr) head << extra_headers;
-  head << "Connection: close\r\n\r\n";
-  const std::string header = head.str();
-  // Returns false when the client is gone; EINTR and short writes are
-  // retried (large /metrics bodies routinely exceed one send on a
-  // loopback socket with a small buffer), with a bounded wait for the
-  // peer to drain.
-  const auto send_all = [fd](const char* data, std::size_t size) -> bool {
-    std::size_t sent = 0;
-    while (sent < size) {
-      const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        pollfd pfd{fd, POLLOUT, 0};
-        const int ready = ::poll(&pfd, 1, /*timeout_ms=*/1000);
-        if (ready < 0 && errno == EINTR) continue;
-        if (ready <= 0) return false;  // stalled client: drop it
-        continue;
-      }
-      return false;  // EPIPE / ECONNRESET / anything else: client is gone
-    }
-    return true;
-  };
-  if (send_all(header.data(), header.size())) send_all(body.data(), body.size());
+  head << "Connection: close\r\n\r\n" << body;
+  const std::string response = head.str();
+  // Only the deadline bounds the send: a large /metrics body takes many
+  // EAGAIN rounds even to a client that reads at full speed, while a
+  // client that stalls or reads slowly is dropped when the deadline
+  // passes, which bounds what one connection costs the others.
+  ipc::SendOptions options;
+  options.deadline_ms = kRequestDeadlineMs;
+  options.max_attempts = std::numeric_limits<int>::max();
+  ipc::write_all(fd, response.data(), response.size(), options);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 // Live telemetry exposition for long-running benches and deployments.
 //
+// The exposition is part of the obs plane (namespace edgeslice::obs) but
+// lives in es_ipc, beside the socket layer it is built on: ipc::PollLoop
+// accepts its connections and ipc::write_all sends its responses.
+//
 // Two pieces, both strictly observation-only (they read the process-global
 // registry / tracer / flight recorder and never write back):
 //
@@ -12,10 +16,14 @@
 //        /healthz      200 "ok" liveness probe
 //    Every response (success or error, including 405 for non-GET with an
 //    Allow header) carries Content-Type, Content-Length, and Connection:
-//    close. One background thread accepts and answers one connection at a time;
-//    responses are built under the exporters' own locks, so a scrape can
-//    run while the orchestrator is mid-period. Off by default; benches
-//    enable it with --telemetry-port / EDGESLICE_TELEMETRY_PORT.
+//    close. One background thread runs an ipc::PollLoop with the
+//    listening socket registered and answers each accepted connection
+//    inline, one at a time. The request read is bounded by one 1 s
+//    deadline that starts at accept, so a client that trickles bytes
+//    costs the others at most that long. Responses are built under
+//    the exporters' own locks, so a scrape can run while the orchestrator
+//    is mid-period. Off by default; benches enable it with
+//    --telemetry-port / EDGESLICE_TELEMETRY_PORT.
 //
 //  * RollingSnapshotWriter — rewrites a JSON observability snapshot
 //    (metrics + spans + events) every N orchestration periods during a
@@ -29,9 +37,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace edgeslice::obs {
+
+/// The first line of an HTTP request: "METHOD SP path SP ...".
+struct RequestLine {
+  std::string method;
+  std::string path;
+};
+
+/// Parse the request line at the start of `bytes` (up to the first LF,
+/// or all of `bytes` when there is none; a CR before the LF is dropped).
+/// A line without two spaces yields the empty result; otherwise method
+/// and path are the bytes before the first space and between the first
+/// two — always substrings of `bytes`.
+RequestLine parse_request_line(std::string_view bytes);
 
 /// Worker-process liveness as published by the multi-process control
 /// plane's supervisor. total == 0 means the run has no worker plane
@@ -61,7 +83,7 @@ class TelemetryServer {
   TelemetryServer(const TelemetryServer&) = delete;
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
-  /// Bind + listen + spawn the serving thread. Returns false (with a log
+  /// Bind + listen (ipc::listen_tcp) + spawn the serving thread. Returns false (with a log
   /// line) when the socket cannot be bound; the process carries on
   /// without telemetry rather than dying.
   bool start();

@@ -101,7 +101,7 @@ int worker_main(int fd, const WorkerContext& context) {
     reset_global_tracer_for_fork();
     obs::reset_global_event_log_for_fork();
     FrameSender sender(fd);
-    std::uint64_t expected_seq = 0;
+    FrameReader reader;
 
     // RA index -> slot in context.hosted (environments/policies share it).
     auto slot_of = [&context](std::uint32_t ra) -> std::size_t {
@@ -173,12 +173,18 @@ int worker_main(int fd, const WorkerContext& context) {
 
     for (;;) {
       Frame frame;
-      const IoResult io = read_frame(fd, frame, /*deadline_ms=*/60000);
+      // A corrupt channel (bad CRC, seq break) throws: exit status 1.
+      const IoResult io = reader.read(fd, frame, /*deadline_ms=*/60000);
       if (io == IoResult::Deadline) continue;  // idle between periods
       if (io == IoResult::Closed) return 0;    // supervisor is gone
       if (io != IoResult::Ok) return 1;
-      if (frame.seq != expected_seq) return 1;  // corrupt channel
-      ++expected_seq;
+      // Counted here, not in FrameReader: the serve client reads through
+      // it too and counts nothing.
+      if (metrics_enabled()) {
+        global_metrics().counter("ipc.frames_received").add();
+        global_metrics().counter("ipc.bytes_received").add(kFrameHeaderSize +
+                                                           frame.payload.size());
+      }
 
       switch (frame.type) {
         case FrameType::RunPeriod: {

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -51,7 +50,7 @@ ServeClient::~ServeClient() {
 ServeClient::ServeClient(ServeClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       out_seq_(other.out_seq_),
-      assembler_(std::move(other.assembler_)),
+      reader_(std::move(other.reader_)),
       decisions_(std::move(other.decisions_)),
       others_(std::move(other.others_)) {}
 
@@ -60,7 +59,7 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     out_seq_ = other.out_seq_;
-    assembler_ = std::move(other.assembler_);
+    reader_ = std::move(other.reader_);
     decisions_ = std::move(other.decisions_);
     others_ = std::move(other.others_);
   }
@@ -89,51 +88,32 @@ void ServeClient::send_decide(std::uint64_t request_id,
 }
 
 void ServeClient::send_raw(const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("serve client: raw send failed: ") +
-                               std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
+  const ipc::IoResult result = ipc::write_all(fd_, bytes.data(), bytes.size(), {});
+  if (result != ipc::IoResult::Ok) {
+    throw std::runtime_error(std::string("serve client: raw send failed: ") +
+                             ipc::io_result_name(result));
   }
 }
 
 bool ServeClient::pump(int deadline_ms) {
-  const std::int64_t deadline = ipc::now_ms() + deadline_ms;
-  char chunk[65536];
-  bool got_any = false;
+  // FrameReader throws on any protocol violation — the client is as
+  // strict about the server's bytes as the server is about the client's.
+  ipc::Frame frame;
+  const ipc::IoResult result = reader_.read(fd_, frame, deadline_ms);
+  if (result == ipc::IoResult::Deadline) return false;
+  if (result != ipc::IoResult::Ok) {
+    throw std::runtime_error(std::string("serve client: read failed: ") +
+                             ipc::io_result_name(result));
+  }
+  // Route the frame that arrived and every one the same read completed.
   for (;;) {
-    const std::int64_t remaining = deadline - ipc::now_ms();
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, remaining > 0 ? static_cast<int>(remaining) : 0);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("serve client: poll failed");
+    if (frame.type == ipc::FrameType::DecideResponse) {
+      decisions_.push_back(decode_decide_response(frame.payload));
+    } else {
+      others_.push_back(std::move(frame));
     }
-    if (ready == 0) return got_any;
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n == 0) throw std::runtime_error("serve client: server closed connection");
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      throw std::runtime_error(std::string("serve client: read failed: ") +
-                               std::strerror(errno));
-    }
-    // FrameAssembler throws on any protocol violation — the client is as
-    // strict about the server's bytes as the server is about the client's.
-    for (ipc::Frame& frame : assembler_.feed(chunk, static_cast<std::size_t>(n))) {
-      if (frame.type == ipc::FrameType::DecideResponse) {
-        decisions_.push_back(decode_decide_response(frame.payload));
-      } else {
-        others_.push_back(std::move(frame));
-      }
-      got_any = true;
-    }
-    if (got_any) return true;
+    if (!reader_.has_buffered_frame()) return true;
+    reader_.read(fd_, frame, 0);
   }
 }
 

@@ -4,9 +4,9 @@
 // (bench/serve_load.cpp) and the serve tests are built on: one blocking
 // TCP connection speaking ESFR frames, with non-blocking sends
 // (send_decide fires and returns — open-loop load generation must never
-// stall on the server) and a poll(2)-driven drain for whatever responses
-// have arrived. Blocking conveniences (decide, status, ping) wrap the
-// same machinery for request/response callers.
+// stall on the server) and an ipc::FrameReader drain for whatever
+// responses have arrived. Blocking conveniences (decide, status, ping)
+// wrap the same machinery for request/response callers.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "ipc/event_loop.h"
 #include "ipc/frame.h"
 #include "serve/protocol.h"
 
@@ -68,7 +67,7 @@ class ServeClient {
 
   int fd_ = -1;
   std::uint64_t out_seq_ = 0;
-  ipc::FrameAssembler assembler_;
+  ipc::FrameReader reader_;
   std::deque<DecideResponsePayload> decisions_;
   std::deque<ipc::Frame> others_;  // ServeStatus / Pong replies
 };

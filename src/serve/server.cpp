@@ -1,14 +1,8 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <csignal>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <utility>
@@ -19,6 +13,7 @@
 #include "common/trace_span.h"
 #include "ipc/event_loop.h"
 #include "ipc/frame.h"
+#include "ipc/socket.h"
 #include "rl/batched_actor.h"
 #include "serve/protocol.h"
 
@@ -40,45 +35,8 @@ PolicyServer::~PolicyServer() { stop(); }
 
 bool PolicyServer::start() {
   if (running()) return true;
-  // A client that disconnects with responses in flight must surface as
-  // EPIPE from send(2), never kill the process.
-  ::signal(SIGPIPE, SIG_IGN);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    ES_LOG(Warn) << "serve: socket() failed: " << std::strerror(errno);
-    return false;
-  }
-  int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ES_LOG(Warn) << "serve: bad bind address " << config_.bind_address;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 256) < 0) {
-    ES_LOG(Warn) << "serve: cannot listen on " << config_.bind_address << ":"
-                 << config_.port << ": " << std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  // PollLoop drains a ready listener with accept4 until EAGAIN — a
-  // blocking listener fd would park the serve thread in the second accept.
-  const int listen_flags = ::fcntl(listen_fd_, F_GETFL, 0);
-  ::fcntl(listen_fd_, F_SETFL, listen_flags | O_NONBLOCK);
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = config_.port;
-  }
+  listen_fd_ = ipc::listen_tcp(config_.bind_address, config_.port, "serve", port_);
+  if (listen_fd_ < 0) return false;
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { serve_loop(); });

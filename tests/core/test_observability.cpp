@@ -13,9 +13,9 @@
 #include "core/system.h"
 #include "core/training.h"
 #include "env/service_model.h"
+#include "ipc/telemetry_server.h"
 #include "obs/event_log.h"
 #include "obs/sla_watchdog.h"
-#include "obs/telemetry_server.h"
 #include "radio/radio_manager.h"
 #include "rl/ddpg.h"
 #include "transport/transport_manager.h"

@@ -21,9 +21,9 @@
 
 #include "common/metrics.h"
 #include "common/trace_span.h"
+#include "ipc/telemetry_server.h"
 #include "obs/aggregator.h"
 #include "obs/event_log.h"
-#include "obs/telemetry_server.h"
 
 namespace edgeslice::obs {
 namespace {

@@ -157,10 +157,11 @@ TEST(FrameAssembler, CorruptBytesMidStreamThrow) {
 
 TEST(FrameIo, SocketRoundTrip) {
   SocketPair pair;
-  const Frame sent = make_frame(FrameType::EnvState, 4, std::string(100000, 'e'), 9);
+  const Frame sent = make_frame(FrameType::EnvState, 0, std::string(100000, 'e'), 9);
   ASSERT_EQ(write_frame(pair.fds[0], sent), IoResult::Ok);
+  FrameReader reader;
   Frame got;
-  ASSERT_EQ(read_frame(pair.fds[1], got, 2000), IoResult::Ok);
+  ASSERT_EQ(reader.read(pair.fds[1], got, 2000), IoResult::Ok);
   EXPECT_EQ(got.type, sent.type);
   EXPECT_EQ(got.ra, sent.ra);
   EXPECT_EQ(got.seq, sent.seq);
@@ -169,16 +170,18 @@ TEST(FrameIo, SocketRoundTrip) {
 
 TEST(FrameIo, ReadDeadlineOnSilentPeer) {
   SocketPair pair;
+  FrameReader reader;
   Frame got;
-  EXPECT_EQ(read_frame(pair.fds[1], got, 50), IoResult::Deadline);
+  EXPECT_EQ(reader.read(pair.fds[1], got, 50), IoResult::Deadline);
 }
 
 TEST(FrameIo, ReadClosedOnEof) {
   SocketPair pair;
   ::close(pair.fds[0]);
   pair.fds[0] = -1;
+  FrameReader reader;
   Frame got;
-  EXPECT_EQ(read_frame(pair.fds[1], got, 1000), IoResult::Closed);
+  EXPECT_EQ(reader.read(pair.fds[1], got, 1000), IoResult::Closed);
 }
 
 TEST(FrameIo, TruncatedFrameSurfacesAsClosed) {
@@ -190,8 +193,29 @@ TEST(FrameIo, TruncatedFrameSurfacesAsClosed) {
             static_cast<ssize_t>(kFrameHeaderSize + 4));
   ::close(pair.fds[0]);
   pair.fds[0] = -1;
+  FrameReader reader;
   Frame got;
-  EXPECT_EQ(read_frame(pair.fds[1], got, 1000), IoResult::Closed);
+  EXPECT_EQ(reader.read(pair.fds[1], got, 1000), IoResult::Closed);
+}
+
+TEST(FrameIo, ReadAfterMidFrameDeadlineResumesTheFrame) {
+  SocketPair pair;
+  const Frame sent = make_frame(FrameType::Restore, 0, "the rest arrives late");
+  const std::string bytes = encode_frame(sent);
+  // Header + a sliver of payload, then the peer stalls past the deadline.
+  const std::size_t first = kFrameHeaderSize + 4;
+  ASSERT_EQ(::write(pair.fds[0], bytes.data(), first), static_cast<ssize_t>(first));
+  FrameReader reader;
+  Frame got;
+  ASSERT_EQ(reader.read(pair.fds[1], got, 50), IoResult::Deadline);
+  // The buffered bytes are kept: the retry reads the whole frame instead
+  // of parsing payload bytes as a header.
+  ASSERT_EQ(::write(pair.fds[0], bytes.data() + first, bytes.size() - first),
+            static_cast<ssize_t>(bytes.size() - first));
+  ASSERT_EQ(reader.read(pair.fds[1], got, 2000), IoResult::Ok);
+  EXPECT_EQ(got.type, sent.type);
+  EXPECT_EQ(got.seq, sent.seq);
+  EXPECT_EQ(got.payload, sent.payload);
 }
 
 TEST(FrameIo, WriteBacksOffThenReportsDeadlineWhenPeerNeverDrains) {

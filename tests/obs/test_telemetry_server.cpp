@@ -1,7 +1,7 @@
 // Telemetry server tests, driven through real loopback sockets: golden
 // Prometheus exposition, the JSON endpoints, liveness while a system is
 // mid-run, and the atomic snapshot writers.
-#include "obs/telemetry_server.h"
+#include "ipc/telemetry_server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -194,6 +197,40 @@ TEST_F(TelemetryServerTest, UnknownPathIs404AndNonGetIs405) {
   EXPECT_NE(raw.find("Allow: GET\r\n"), std::string::npos);
 }
 
+TEST_F(TelemetryServerTest, TricklingClientDoesNotHoldTheServer) {
+  auto server = start_server();
+  ASSERT_NE(server, nullptr);
+  // A client that sends one byte every 300 ms and never ends its request
+  // line. The request read is bounded by one deadline from accept, not
+  // restarted per byte, so it cannot hold /healthz for its whole trickle.
+  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(slow, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::atomic<bool> answered{false};
+  std::thread trickler([&] {
+    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!answered.load() && std::chrono::steady_clock::now() < end) {
+      if (::send(slow, "G", 1, MSG_NOSIGNAL) != 1) break;  // the server dropped it
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // trickler accepted first
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse health = http_get(server->port(), "/healthz");
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  answered.store(true);
+  trickler.join();
+  ::close(slow);
+  EXPECT_EQ(health.status, 200);
+  EXPECT_LT(waited, 2.0);
+}
+
 TEST_F(TelemetryServerTest, StopIsIdempotentAndRestartable) {
   auto server = start_server();
   ASSERT_NE(server, nullptr);
@@ -255,6 +292,78 @@ TEST_F(TelemetryServerTest, RollingSnapshotWriterTracksPeriodCounter) {
   content << in.rdbuf();
   EXPECT_NE(content.str().find("\"system.periods\": 6"), std::string::npos);
   std::remove(path.c_str());
+}
+
+/// One seeded mutation of an HTTP request: a bit flip, a truncation, a
+/// dropped space, CR/LF stripped, a NUL byte, or a 4 KiB run of one byte.
+std::string mutate_request(std::string bytes, std::mt19937_64& rng) {
+  const auto at = [&](std::size_t n) { return static_cast<std::size_t>(rng() % (n + 1)); };
+  switch (rng() % 6) {
+    case 0:
+      if (!bytes.empty()) {
+        bytes[at(bytes.size() - 1)] ^= static_cast<char>(1u << (rng() % 8));
+      }
+      break;
+    case 1:
+      bytes.resize(at(bytes.size()));
+      break;
+    case 2: {
+      const std::size_t space = bytes.find(' ', at(bytes.size()));
+      if (space != std::string::npos) bytes.erase(space, 1);
+      break;
+    }
+    case 3:
+      std::erase_if(bytes, [](char c) { return c == '\r' || c == '\n'; });
+      break;
+    case 4:
+      bytes.insert(at(bytes.size()), 1, '\0');
+      break;
+    default:
+      bytes.insert(at(bytes.size()), 4096, static_cast<char>(rng() % 256));
+      break;
+  }
+  if (bytes.size() > 8192) bytes.resize(8192);
+  return bytes;
+}
+
+TEST(RequestLineParser, WellFormedLinesSplitIntoMethodAndPath) {
+  const RequestLine get = parse_request_line("GET /metrics HTTP/1.0\r\nHost: a b\r\n\r\n");
+  EXPECT_EQ(get.method, "GET");
+  EXPECT_EQ(get.path, "/metrics");
+  // The spaces must be on the first line; a later header line never
+  // completes a truncated request line.
+  const RequestLine split = parse_request_line("GET /x\r\nHost: a b\r\n");
+  EXPECT_TRUE(split.method.empty());
+  EXPECT_TRUE(split.path.empty());
+  const RequestLine unterminated = parse_request_line("POST /healthz HTTP/1.0");
+  EXPECT_EQ(unterminated.method, "POST");
+  EXPECT_EQ(unterminated.path, "/healthz");
+}
+
+TEST(RequestLineParser, SeededMutationsYieldEmptyOrSubstrings) {
+  const std::vector<std::string> corpus = {
+      "GET /metrics HTTP/1.0\r\n\r\n",
+      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+      "POST /events.json HTTP/1.0\r\n\r\n",
+      "GET  HTTP/1.0\r\n",
+      "GET /spans.json HTTP/1.0",
+      "",
+      std::string(4096, ' '),
+      "GET /" + std::string(4080, 'p') + " HTTP/1.0\r\n",
+  };
+  std::mt19937_64 rng(20200701);
+  for (int i = 0; i < 20000; ++i) {
+    std::string input = corpus[rng() % corpus.size()];
+    for (std::uint64_t round = 0, rounds = 1 + rng() % 4; round < rounds; ++round) {
+      input = mutate_request(std::move(input), rng);
+    }
+    const RequestLine line = parse_request_line(input);
+    if (line.method.empty() && line.path.empty()) continue;
+    ASSERT_NE(input.find(line.method), std::string::npos) << "iteration " << i;
+    ASSERT_NE(input.find(line.path), std::string::npos) << "iteration " << i;
+    ASSERT_EQ(line.method.find_first_of(" \n"), std::string::npos) << "iteration " << i;
+    ASSERT_EQ(line.path.find_first_of(" \n"), std::string::npos) << "iteration " << i;
+  }
 }
 
 }  // namespace

@@ -21,8 +21,8 @@
 #include "common/binio.h"
 #include "common/cli.h"
 #include "common/metrics.h"
+#include "ipc/telemetry_server.h"
 #include "nn/gemm.h"
-#include "obs/telemetry_server.h"
 #include "serve/policy_loader.h"
 #include "serve/server.h"
 
