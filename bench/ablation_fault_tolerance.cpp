@@ -15,10 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <optional>
 
-#include "ckpt/rotation.h"
 #include "common/fault.h"
 #include "core/policies.h"
 #include "ipc/supervisor.h"
@@ -108,32 +105,10 @@ ScenarioResult run_scenario(const Setup& setup, const FaultPlan& plan,
   // from the checkpointed period. The FaultPlan re-applies losslessly: the
   // injector is a pure function of (plan seed, period, RA), so the resumed
   // run sees exactly the faults the uninterrupted run would have.
-  // With --checkpoint-keep the checkpoint path is a rotation BASE: each
-  // boundary publishes "<base>.p<period>" and prunes older siblings, and
-  // a resume loads the newest sibling that validates (a torn newest file
-  // falls back to the one before it).
-  std::size_t start = 0;
-  if (!setup.resume_path.empty()) {
-    std::optional<std::string> source;
-    if (setup.checkpoint_keep > 0) {
-      source = ckpt::CheckpointRotation(setup.resume_path, setup.checkpoint_keep)
-                   .latest();
-    } else if (std::filesystem::exists(setup.resume_path)) {
-      source = setup.resume_path;
-    }
-    if (source.has_value()) {
-      system.load_checkpoint(*source);
-      start = system.period_count();
-      std::fprintf(stderr, "[chaos] resumed from %s at period %zu\n",
-                   source->c_str(), start);
-    }
-  }
-  const std::string ckpt_path = !setup.checkpoint_out.empty() ? setup.checkpoint_out
-                                                              : setup.resume_path;
-  std::optional<ckpt::CheckpointRotation> rotation;
-  if (setup.checkpoint_keep > 0 && !ckpt_path.empty()) {
-    rotation.emplace(ckpt_path, setup.checkpoint_keep);
-  }
+  const PeriodCheckpoints checkpoints(setup.resume_path, setup.checkpoint_out,
+                                      setup.checkpoint_every, setup.checkpoint_keep,
+                                      "chaos");
+  const std::size_t start = checkpoints.resume(system);
 
   std::vector<core::PeriodResult> results;
   results.reserve(periods - start);
@@ -147,19 +122,7 @@ ScenarioResult run_scenario(const Setup& setup, const FaultPlan& plan,
       std::abort();
     }
     results.push_back(system.run_period());
-    if (setup.checkpoint_every > 0 && !ckpt_path.empty() &&
-        (p + 1) % setup.checkpoint_every == 0 && p + 1 < periods) {
-      const std::string dest =
-          rotation.has_value() ? rotation->path_for(p + 1) : ckpt_path;
-      if (!system.save_checkpoint(dest)) {
-        std::fprintf(stderr, "[chaos] cannot write checkpoint to %s\n",
-                     dest.c_str());
-        std::exit(2);
-      }
-      // Prune only after the new checkpoint is durably published: a crash
-      // anywhere in this loop leaves at least one valid file behind.
-      if (rotation.has_value()) rotation->prune(p + 1);
-    }
+    checkpoints.after_period(system, p, periods);
   }
 
   ScenarioResult out;

@@ -5,15 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
 #include "common.h"
 
-#include "ckpt/rotation.h"
 #include "common/hash.h"
 #include "common/stats.h"
 #include "common/trace_span.h"
@@ -163,28 +160,10 @@ CityRun run_city(const CityConfig& config) {
   global_tracer().set_period_retention(config.periods + 16);
 
   // --- Resume / checkpoint plumbing (chaos-bench contract) ------------------
-  std::size_t start = 0;
-  if (!config.resume_path.empty()) {
-    std::optional<std::string> source;
-    if (config.checkpoint_keep > 0) {
-      source =
-          ckpt::CheckpointRotation(config.resume_path, config.checkpoint_keep).latest();
-    } else if (std::filesystem::exists(config.resume_path)) {
-      source = config.resume_path;
-    }
-    if (source.has_value()) {
-      system.load_checkpoint(*source);
-      start = system.period_count();
-      std::fprintf(stderr, "[city] resumed from %s at period %zu\n", source->c_str(),
-                   start);
-    }
-  }
-  const std::string ckpt_path =
-      !config.checkpoint_out.empty() ? config.checkpoint_out : config.resume_path;
-  std::optional<ckpt::CheckpointRotation> rotation;
-  if (config.checkpoint_keep > 0 && !ckpt_path.empty()) {
-    rotation.emplace(ckpt_path, config.checkpoint_keep);
-  }
+  const PeriodCheckpoints checkpoints(config.resume_path, config.checkpoint_out,
+                                      config.checkpoint_every, config.checkpoint_keep,
+                                      "city");
+  const std::size_t start = checkpoints.resume(system);
 
   // --- The day --------------------------------------------------------------
   CityRun run;
@@ -212,17 +191,7 @@ CityRun run_city(const CityConfig& config) {
       run.arena_upstream_after_warmup =
           system.period_arena().stats().upstream_allocations;
     }
-    if (config.checkpoint_every > 0 && !ckpt_path.empty() &&
-        (p + 1) % config.checkpoint_every == 0 && p + 1 < config.periods) {
-      const std::string dest =
-          rotation.has_value() ? rotation->path_for(p + 1) : ckpt_path;
-      if (!system.save_checkpoint(dest)) {
-        std::fprintf(stderr, "[city] cannot write checkpoint to %s\n", dest.c_str());
-        std::exit(2);
-      }
-      // Prune only after the new checkpoint is durably published.
-      if (rotation.has_value()) rotation->prune(p + 1);
-    }
+    checkpoints.after_period(system, p, config.periods);
   }
   run.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/agent_cache.h"
 #include "common/binio.h"
@@ -22,6 +23,44 @@
 #include "rl/sac.h"
 
 namespace edgeslice::bench {
+
+PeriodCheckpoints::PeriodCheckpoints(std::string resume_path,
+                                     const std::string& checkpoint_out, std::size_t every,
+                                     std::size_t keep, std::string tag)
+    : resume_path_(std::move(resume_path)),
+      path_(!checkpoint_out.empty() ? checkpoint_out : resume_path_),
+      every_(every),
+      keep_(keep),
+      tag_(std::move(tag)) {
+  if (keep_ > 0 && !path_.empty()) rotation_.emplace(path_, keep_);
+}
+
+std::size_t PeriodCheckpoints::resume(core::EdgeSliceSystem& system) const {
+  std::optional<std::string> source;
+  if (!resume_path_.empty() && keep_ > 0) {
+    source = ckpt::CheckpointRotation(resume_path_, keep_).latest();
+  } else if (!resume_path_.empty() && std::filesystem::exists(resume_path_)) {
+    source = resume_path_;
+  }
+  if (!source.has_value()) return 0;
+  system.load_checkpoint(*source);
+  std::fprintf(stderr, "[%s] resumed from %s at period %zu\n", tag_.c_str(),
+               source->c_str(), system.period_count());
+  return system.period_count();
+}
+
+void PeriodCheckpoints::after_period(const core::EdgeSliceSystem& system, std::size_t p,
+                                     std::size_t periods) const {
+  if (every_ == 0 || path_.empty() || (p + 1) % every_ != 0 || p + 1 >= periods) return;
+  const std::string dest = rotation_.has_value() ? rotation_->path_for(p + 1) : path_;
+  if (!system.save_checkpoint(dest)) {
+    std::fprintf(stderr, "[%s] cannot write checkpoint to %s\n", tag_.c_str(), dest.c_str());
+    std::exit(2);
+  }
+  // Prune only after the new checkpoint is durably published: a crash
+  // anywhere in the run leaves at least one valid file behind.
+  if (rotation_.has_value()) rotation_->prune(p + 1);
+}
 
 std::vector<env::AppProfile> make_profiles(std::size_t slices, Rng& rng) {
   std::vector<env::AppProfile> profiles;

@@ -10,9 +10,11 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "ckpt/rotation.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -71,6 +73,30 @@ struct Setup {
   /// older siblings only after the new file is durably published, so a
   /// crash never leaves zero valid checkpoints (see src/ckpt/rotation.h).
   std::size_t checkpoint_keep = 0;
+};
+
+/// Period-cadence checkpointing of an EdgeSliceSystem for the chaos and
+/// city benches. Checkpoints go to `checkpoint_out`, else `resume_path`;
+/// with keep > 0 that path is a rotation base (src/ckpt/rotation.h).
+class PeriodCheckpoints {
+ public:
+  PeriodCheckpoints(std::string resume_path, const std::string& checkpoint_out,
+                    std::size_t every, std::size_t keep, std::string tag);
+  /// Restore from the newest valid rotation file, or the plain file if it
+  /// exists; returns the period to continue from (0 without a source).
+  std::size_t resume(core::EdgeSliceSystem& system) const;
+  /// After period `p` of `periods`: at every `every`-th boundary before the
+  /// last, publish a checkpoint, then prune. Exits 2 when the write fails.
+  void after_period(const core::EdgeSliceSystem& system, std::size_t p,
+                    std::size_t periods) const;
+
+ private:
+  std::string resume_path_;
+  std::string path_;
+  std::size_t every_;
+  std::size_t keep_;
+  std::string tag_;  // stderr line prefix
+  std::optional<ckpt::CheckpointRotation> rotation_;
 };
 
 /// The simulation setup of Sec. VII-D: 5 slices, 10 RAs, 24-interval

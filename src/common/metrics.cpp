@@ -376,28 +376,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   out << (first ? "}" : "\n  }") << "\n}";
 }
 
-void MetricsRegistry::write_csv(std::ostream& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  out << "kind,name,field,value\n";
-  for (const auto& [key, metric] : counters_) {
-    out << "counter," << display_name(key) << ",value," << metric->value() << "\n";
-  }
-  for (const auto& [key, metric] : gauges_) {
-    out << "gauge," << display_name(key) << ",value," << metric->value() << "\n";
-  }
-  for (const auto& [key, metric] : histograms_) {
-    const std::string name = display_name(key);
-    out << "histogram," << name << ",count," << metric->count() << "\n";
-    out << "histogram," << name << ",mean," << metric->mean() << "\n";
-    out << "histogram," << name << ",min," << metric->min() << "\n";
-    out << "histogram," << name << ",max," << metric->max() << "\n";
-    out << "histogram," << name << ",total," << metric->total() << "\n";
-    out << "histogram," << name << ",p50," << metric->quantile(0.5) << "\n";
-    out << "histogram," << name << ",p90," << metric->quantile(0.9) << "\n";
-    out << "histogram," << name << ",p99," << metric->quantile(0.99) << "\n";
-  }
-}
-
 void MetricsRegistry::write_prometheus(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   // The store is ordered by (name, label suffix), so every label variant

@@ -180,8 +180,6 @@ class MetricsRegistry {
   /// JSON object {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count, mean, min, max, total, p50, p90, p99}}}.
   void write_json(std::ostream& out) const;
-  /// Flat CSV: kind,name,field,value (one row per exported scalar).
-  void write_csv(std::ostream& out) const;
   /// Prometheus text exposition format (the /metrics HTTP payload).
   /// Dotted names are sanitized to legal Prometheus names ('.' and every
   /// other illegal character become '_'); label variants of one name

@@ -168,18 +168,35 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
       }
     }
   } else {
-    // In-process execution: contiguous RA ranges, one per pool task. A
-    // task's RAs are touched by no other thread, and the trace buffers are
-    // members so their capacity survives across periods.
+    // In-process execution: contiguous RA ranges, one per pool task, each
+    // stepped by its own RaStepper. A task's RAs are touched by no other
+    // thread, and the trace buffers are members so their capacity survives
+    // across periods.
     ThreadPool* pool = config_.pool;
     const std::size_t tasks = std::min(pool != nullptr ? pool->thread_count() : 1, ras);
-    tasks_.resize(tasks);
+    steppers_.resize(tasks);
     traces_.resize(ras);
+    RaSlot* const slots = period_arena_.make_array<RaSlot>(ras);
+    for (std::size_t j = 0; j < ras; ++j) {
+      slots[j] = {environments_[j], policies_[j], &traces_[j]};
+    }
     double* const ra_seconds = period_arena_.make_array<double>(ras);
+    const bool timed = metrics_enabled();
+    const auto run_task = [&](std::size_t k) {
+      const std::size_t begin = k * ras / tasks;
+      const std::size_t end = (k + 1) * ras / tasks;
+      const double batch_seconds = steppers_[k].step_period(
+          std::span(slots + begin, end - begin), crashed + begin, ra_seconds + begin);
+      for (std::size_t j = begin; j < end && timed; ++j) {
+        if (!crashed[j]) global_tracer().record("system.ra_intervals", ra_seconds[j]);
+      }
+      if (batch_seconds > 0.0) {
+        global_tracer().record("system.batched_inference", batch_seconds);
+      }
+    };
     if (tasks == 1) {
-      run_ra_task(tasks_[0], 0, ras, crashed, ra_seconds);
+      run_task(0);
     } else {
-      const bool timed = metrics_enabled();
       const auto dispatch_time = SteadyClock::now();
       pool->parallel_for(tasks, [&](std::size_t k) {
         // Time from batch dispatch to this task starting: how long it sat
@@ -187,8 +204,7 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
         if (timed) {
           global_tracer().record("system.pool_queue_wait", seconds_since(dispatch_time));
         }
-        run_ra_task(tasks_[k], k * ras / tasks, (k + 1) * ras / tasks, crashed,
-                    ra_seconds);
+        run_task(k);
       });
     }
   }
@@ -319,79 +335,6 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
     config_.watchdog->evaluate(period_, slice_sums_scratch_, slice_worst_ra_scratch_);
   }
   ++period_;
-}
-
-void EdgeSliceSystem::run_ra_task(RaTask& task, std::size_t begin, std::size_t end,
-                                  const bool* crashed, double* ra_seconds) {
-  const std::size_t intervals = environments_.front()->config().intervals_per_period;
-  const bool timed = metrics_enabled();
-
-  // Cross-agent batched inference: the live RAs whose policy's decide() is
-  // a pure forward pass, grouped by the network they share (in deployment
-  // one group holds every live RA of the range). Their states are readable
-  // up front each interval because an environment only advances when its
-  // own RA steps, and per-row kernel determinism (DESIGN.md Sec. 12) makes
-  // each batched row bit-identical to the per-RA decide() it replaces.
-  constexpr std::size_t kUnbatched = static_cast<std::size_t>(-1);
-  for (auto& group : task.groups) group.members.clear();
-  task.slot.assign(end - begin, {kUnbatched, 0});
-  std::size_t live = 0;
-  for (std::size_t j = begin; j < end; ++j) {
-    traces_[j].steps.resize(intervals);
-    traces_[j].actions.resize(intervals);
-    if (crashed[j]) continue;
-    ++live;
-    const nn::Mlp* network = policies_[j]->inference_network();
-    if (network == nullptr) continue;
-    std::size_t g = 0;
-    while (g < task.groups.size() && &task.groups[g].actor.network() != network) ++g;
-    if (g == task.groups.size()) task.groups.push_back({rl::BatchedActor(*network), {}});
-    task.slot[j - begin] = {g, task.groups[g].members.size()};
-    task.groups[g].members.push_back(j);
-  }
-
-  // Per-RA time is accumulated across the interleaved intervals and
-  // recorded once per RA, each carrying an equal share of the batched
-  // forward passes, so the spans sum to the task's busy time.
-  double batch_seconds = 0.0;
-  bool batched = false;
-  for (std::size_t t = 0; t < intervals; ++t) {
-    const auto batch_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
-    for (auto& group : task.groups) {
-      if (group.members.empty()) continue;
-      batched = true;
-      group.actor.begin(group.members.size());
-      for (std::size_t row = 0; row < group.members.size(); ++row) {
-        environments_[group.members[row]]->state_into(task.state);
-        group.actor.set_state(row, task.state);
-      }
-      group.actor.infer();
-    }
-    if (timed) batch_seconds += seconds_since(batch_start);
-    for (std::size_t j = begin; j < end; ++j) {
-      if (crashed[j]) continue;
-      const auto ra_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
-      std::vector<double>& action = traces_[j].actions[t];
-      env::StepResult& step = traces_[j].steps[t];
-      const auto [group, row] = task.slot[j - begin];
-      if (group != kUnbatched) {
-        task.groups[group].actor.action_into(row, action);
-      } else {
-        policies_[j]->decide_into(*environments_[j], action);
-      }
-      environments_[j]->step_into(action, step);
-      policies_[j]->feedback(step);
-      if (timed) ra_seconds[j] += seconds_since(ra_start);
-    }
-  }
-  if (timed && live > 0) {
-    const double batch_share = batch_seconds / static_cast<double>(live);
-    for (std::size_t j = begin; j < end; ++j) {
-      if (crashed[j]) continue;
-      global_tracer().record("system.ra_intervals", ra_seconds[j] + batch_share);
-    }
-    if (batched) global_tracer().record("system.batched_inference", batch_seconds);
-  }
 }
 
 std::vector<PeriodResult> EdgeSliceSystem::run(std::size_t periods) {

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -35,9 +34,9 @@
 #include "core/message_bus.h"
 #include "core/monitor.h"
 #include "core/policies.h"
+#include "core/ra_stepper.h"
 #include "core/ra_transport.h"
 #include "env/environment.h"
-#include "rl/batched_actor.h"
 
 namespace edgeslice::obs {
 class SlaWatchdog;
@@ -70,17 +69,13 @@ struct SystemConfig {
   std::size_t max_report_staleness = 3;
   /// Non-owning thread pool; null (or a 1-thread pool) runs the period
   /// loop inline. The RAs are split into min(thread count, RAs)
-  /// contiguous ranges, one pool task each; a task steps its RAs interval
-  /// by interval, with one batched forward pass per shared inference
-  /// network (RaPolicy::inference_network) over its live RAs per interval.
-  /// Each environment and policy is touched by exactly one thread, and the
-  /// collected trajectories are reduced after the barrier in the (interval,
-  /// RA) order, so results are bit-identical for any thread count.
-  /// Requirement when the pool yields more than one task: per-RA policies
-  /// must not share *mutable* state across RAs (deployment policies —
-  /// frozen actors with learn = false, TARO — qualify; a shared learning
-  /// agent does not, but runs fine without a pool, where the single task
-  /// calls the policies in plain (interval, RA) order).
+  /// contiguous ranges, one pool task each, stepped by that task's
+  /// RaStepper (src/core/ra_stepper.h); trajectories are reduced after the
+  /// barrier in the (interval, RA) order, so results are bit-identical for
+  /// any thread count. With more than one task, per-RA policies must not
+  /// share *mutable* state (frozen actors with learn = false and TARO
+  /// qualify; a shared learning agent does not, but runs fine without a
+  /// pool, where the policies are called in plain (interval, RA) order).
   ThreadPool* pool = nullptr;
   /// Non-owning SLA watchdog; null disables SLO evaluation. When set, the
   /// system feeds it the network-wide per-slice performance sums (from the
@@ -171,24 +166,9 @@ class EdgeSliceSystem {
 
   /// --- Steady-state scratch (never read across periods) --------------------
   MonotonicArena period_arena_;
-  /// In-process RA stepping: per pool task, the cross-agent inference
-  /// groups (keyed by shared network; membership is rebuilt each period
-  /// because crashes change it, the buffers persist) and scratch buffers.
-  struct InferenceGroup {
-    rl::BatchedActor actor;
-    std::vector<std::size_t> members;  // RA indices, ascending
-  };
-  struct RaTask {
-    std::vector<InferenceGroup> groups;
-    /// Per RA of the range: {group index, row within the group}.
-    std::vector<std::pair<std::size_t, std::size_t>> slot;
-    std::vector<double> state;
-  };
-  /// Step RAs [begin, end) through the period's intervals into traces_;
-  /// `ra_seconds` (indexed by RA) accumulates their traced time.
-  void run_ra_task(RaTask& task, std::size_t begin, std::size_t end,
-                   const bool* crashed, double* ra_seconds);
-  std::vector<RaTask> tasks_;
+  /// In-process RA stepping: one stepper per pool task (its batched-actor
+  /// buffers persist across periods).
+  std::vector<RaStepper> steppers_;
   /// Per-RA trajectories of the period, from either plane.
   std::vector<RaPeriodTrace> traces_;
   nn::Matrix u_scratch_;

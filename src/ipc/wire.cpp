@@ -1,8 +1,11 @@
 #include "ipc/wire.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/binio.h"
 #include "ipc/frame.h"
@@ -33,6 +36,65 @@ env::StepResult read_step(std::istream& in) {
   return step;
 }
 
+/// The one way a decoder reads a counted list: the u64 count is rejected
+/// before anything is reserved when the rest of the payload cannot hold it
+/// at `min_size` bytes per element (its smallest encoding, empty strings
+/// and vectors included); then `read_item()` reads each element.
+template <typename T, typename ReadItem>
+void read_list(std::istream& in, std::size_t min_size, const char* context,
+               std::vector<T>& items, ReadItem read_item) {
+  const std::uint64_t count = read_u64(in, context);
+  const std::streamsize remaining = std::max<std::streamsize>(in.rdbuf()->in_avail(), 0);
+  if (count > static_cast<std::uint64_t>(remaining) / min_size) {
+    throw std::runtime_error(std::string(context) + " " + std::to_string(count) +
+                             " exceeds the payload");
+  }
+  items.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) items.push_back(read_item());
+}
+
+/// Bytes one event occupies in a TelemetryEvents payload.
+constexpr std::size_t kEventWireSize = 6 * 8 + 1 + 2 * 8;
+
+// Raw little-endian putters for the TelemetryEvents encoders (the crash
+// flush runs in a signal handler): identical byte layout to binio's
+// stream writers, no iostreams involved.
+std::size_t put_u32le(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return 4;
+}
+
+std::size_t put_u64le(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return 8;
+}
+
+std::size_t put_f64le(char* p, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return put_u64le(p, bits);
+}
+
+std::size_t events_payload_size(std::size_t count) { return 8 + count * kEventWireSize; }
+
+/// The one TelemetryEvents payload writer: `events_payload_size(count)`
+/// bytes at `p`, no allocation.
+void put_events_payload(char* p, const obs::Event* events, std::size_t count) {
+  p += put_u64le(p, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const obs::Event& e = events[i];
+    p += put_u64le(p, e.seq);
+    p += put_f64le(p, e.ts_s);
+    p += put_u64le(p, static_cast<std::uint64_t>(e.period));
+    p += put_u64le(p, static_cast<std::uint64_t>(e.interval));
+    p += put_u64le(p, static_cast<std::uint64_t>(e.ra));
+    p += put_u64le(p, static_cast<std::uint64_t>(e.slice));
+    p += put_u64le(p, static_cast<std::uint64_t>(e.worker));
+    *p++ = static_cast<char>(e.kind);
+    p += put_f64le(p, e.value);
+  }
+}
+
 }  // namespace
 
 std::string encode_hello(const HelloPayload& payload) {
@@ -47,10 +109,8 @@ HelloPayload decode_hello(const std::string& bytes) {
   std::istringstream in(bytes);
   HelloPayload payload;
   payload.worker_index = read_u64(in, "hello worker_index");
-  const std::uint64_t count = read_u64(in, "hello hosted count");
-  payload.hosted_ras.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i)
-    payload.hosted_ras.push_back(read_u32(in, "hello hosted ra"));
+  read_list(in, 4, "hello hosted count", payload.hosted_ras,
+            [&] { return read_u32(in, "hello hosted ra"); });
   return payload;
 }
 
@@ -81,19 +141,17 @@ RunPeriodPayload decode_run_period(const std::string& bytes) {
   RunPeriodPayload payload;
   payload.period = read_u64(in, "run_period period");
   payload.telemetry_every = read_u64(in, "run_period telemetry_every");
-  const std::uint64_t count = read_u64(in, "run_period entry count");
-  payload.ras.reserve(count);
-  payload.directives.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    payload.ras.push_back(read_u32(in, "run_period ra"));
-    core::RaPeriodDirective d;
+  // Each entry is an RA and its directive; the directives fill up alongside.
+  read_list(in, 4 + 1 + 1 + 3 * 8 + 4 + 1, "run_period entry count", payload.ras, [&] {
+    const std::uint32_t ra = read_u32(in, "run_period ra");
+    core::RaPeriodDirective& d = payload.directives.emplace_back();
     d.run = read_u8(in, "run_period run flag") != 0;
     d.has_derate = read_u8(in, "run_period derate flag") != 0;
     for (double& v : d.derate) v = read_f64(in, "run_period derate");
     d.stall_ms = read_u32(in, "run_period stall_ms");
     d.abort_run = read_u8(in, "run_period abort flag") != 0;
-    payload.directives.push_back(d);
-  }
+    return ra;
+  });
   return payload;
 }
 
@@ -114,14 +172,10 @@ TracePayload decode_trace(const std::string& bytes) {
   TracePayload payload;
   payload.period = read_u64(in, "trace period");
   payload.trace.ran = read_u8(in, "trace ran flag") != 0;
-  const std::uint64_t steps = read_u64(in, "trace step count");
-  payload.trace.steps.reserve(steps);
-  for (std::uint64_t i = 0; i < steps; ++i)
-    payload.trace.steps.push_back(read_step(in));
-  const std::uint64_t actions = read_u64(in, "trace action count");
-  payload.trace.actions.reserve(actions);
-  for (std::uint64_t i = 0; i < actions; ++i)
-    payload.trace.actions.push_back(read_f64_vector(in, "trace action"));
+  read_list(in, 7 * 8, "trace step count", payload.trace.steps,
+            [&] { return read_step(in); });
+  read_list(in, 8, "trace action count", payload.trace.actions,
+            [&] { return read_f64_vector(in, "trace action"); });
   return payload;
 }
 
@@ -161,15 +215,12 @@ void write_histogram_state(std::ostream& out, const HistogramState& s) {
   write_f64(out, s.max);
   write_f64(out, s.total);
   write_u64(out, s.zero_count);
-  write_u64(out, s.positive.size());
-  for (const auto& [bucket, count] : s.positive) {
-    write_u32(out, bucket);
-    write_u64(out, count);
-  }
-  write_u64(out, s.negative.size());
-  for (const auto& [bucket, count] : s.negative) {
-    write_u32(out, bucket);
-    write_u64(out, count);
+  for (const auto* buckets : {&s.positive, &s.negative}) {
+    write_u64(out, buckets->size());
+    for (const auto& [bucket, count] : *buckets) {
+      write_u32(out, bucket);
+      write_u64(out, count);
+    }
   }
 }
 
@@ -182,17 +233,11 @@ HistogramState read_histogram_state(std::istream& in) {
   s.max = read_f64(in, "telemetry hist max");
   s.total = read_f64(in, "telemetry hist total");
   s.zero_count = read_u64(in, "telemetry hist zero_count");
-  const std::uint64_t positive = read_u64(in, "telemetry hist positive count");
-  s.positive.reserve(positive);
-  for (std::uint64_t i = 0; i < positive; ++i) {
-    const std::uint32_t bucket = read_u32(in, "telemetry hist bucket");
-    s.positive.emplace_back(bucket, read_u64(in, "telemetry hist bucket count"));
-  }
-  const std::uint64_t negative = read_u64(in, "telemetry hist negative count");
-  s.negative.reserve(negative);
-  for (std::uint64_t i = 0; i < negative; ++i) {
-    const std::uint32_t bucket = read_u32(in, "telemetry hist bucket");
-    s.negative.emplace_back(bucket, read_u64(in, "telemetry hist bucket count"));
+  for (auto* buckets : {&s.positive, &s.negative}) {
+    read_list(in, 4 + 8, "telemetry hist bucket count", *buckets, [&] {
+      const std::uint32_t bucket = read_u32(in, "telemetry hist bucket");
+      return std::pair{bucket, read_u64(in, "telemetry hist bucket count")};
+    });
   }
   return s;
 }
@@ -233,29 +278,19 @@ TelemetrySnapshotPayload decode_telemetry_snapshot(const std::string& bytes) {
   std::istringstream in(bytes);
   TelemetrySnapshotPayload payload;
   payload.period = read_u64(in, "telemetry period");
-  const std::uint64_t counters = read_u64(in, "telemetry counter count");
-  payload.metrics.counters.reserve(counters);
-  for (std::uint64_t i = 0; i < counters; ++i) {
+  read_list(in, 8 + 8, "telemetry counter count", payload.metrics.counters, [&] {
     std::string name = read_string(in, "telemetry counter name");
-    payload.metrics.counters.emplace_back(std::move(name),
-                                          read_u64(in, "telemetry counter value"));
-  }
-  const std::uint64_t gauges = read_u64(in, "telemetry gauge count");
-  payload.metrics.gauges.reserve(gauges);
-  for (std::uint64_t i = 0; i < gauges; ++i) {
+    return std::pair{std::move(name), read_u64(in, "telemetry counter value")};
+  });
+  read_list(in, 8 + 8, "telemetry gauge count", payload.metrics.gauges, [&] {
     std::string name = read_string(in, "telemetry gauge name");
-    payload.metrics.gauges.emplace_back(std::move(name),
-                                        read_f64(in, "telemetry gauge value"));
-  }
-  const std::uint64_t histograms = read_u64(in, "telemetry histogram count");
-  payload.metrics.histograms.reserve(histograms);
-  for (std::uint64_t i = 0; i < histograms; ++i) {
+    return std::pair{std::move(name), read_f64(in, "telemetry gauge value")};
+  });
+  read_list(in, 8 + 9 * 8, "telemetry histogram count", payload.metrics.histograms, [&] {
     std::string name = read_string(in, "telemetry histogram name");
-    payload.metrics.histograms.emplace_back(std::move(name), read_histogram_state(in));
-  }
-  const std::uint64_t spans = read_u64(in, "telemetry span count");
-  payload.spans.reserve(spans);
-  for (std::uint64_t i = 0; i < spans; ++i) {
+    return std::pair{std::move(name), read_histogram_state(in)};
+  });
+  read_list(in, 6 * 8, "telemetry span count", payload.spans, [&] {
     SpanPeriodStats span;
     span.path = read_string(in, "telemetry span path");
     span.period = read_u64(in, "telemetry span period");
@@ -263,34 +298,21 @@ TelemetrySnapshotPayload decode_telemetry_snapshot(const std::string& bytes) {
     span.stats.total_s = read_f64(in, "telemetry span total");
     span.stats.min_s = read_f64(in, "telemetry span min");
     span.stats.max_s = read_f64(in, "telemetry span max");
-    payload.spans.push_back(std::move(span));
-  }
+    return span;
+  });
   return payload;
 }
 
 std::string encode_telemetry_events(const TelemetryEventsPayload& payload) {
-  std::ostringstream out;
-  write_u64(out, payload.events.size());
-  for (const obs::Event& e : payload.events) {
-    write_u64(out, e.seq);
-    write_f64(out, e.ts_s);
-    write_u64(out, static_cast<std::uint64_t>(e.period));
-    write_u64(out, static_cast<std::uint64_t>(e.interval));
-    write_u64(out, static_cast<std::uint64_t>(e.ra));
-    write_u64(out, static_cast<std::uint64_t>(e.slice));
-    write_u64(out, static_cast<std::uint64_t>(e.worker));
-    write_u8(out, static_cast<std::uint8_t>(e.kind));
-    write_f64(out, e.value);
-  }
-  return out.str();
+  std::string out(events_payload_size(payload.events.size()), '\0');
+  put_events_payload(out.data(), payload.events.data(), payload.events.size());
+  return out;
 }
 
 TelemetryEventsPayload decode_telemetry_events(const std::string& bytes) {
   std::istringstream in(bytes);
   TelemetryEventsPayload payload;
-  const std::uint64_t count = read_u64(in, "telemetry event count");
-  payload.events.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
+  read_list(in, kEventWireSize, "telemetry event count", payload.events, [&] {
     obs::Event e;
     e.seq = read_u64(in, "telemetry event seq");
     e.ts_s = read_f64(in, "telemetry event ts");
@@ -301,57 +323,19 @@ TelemetryEventsPayload decode_telemetry_events(const std::string& bytes) {
     e.worker = static_cast<std::size_t>(read_u64(in, "telemetry event worker"));
     e.kind = static_cast<obs::EventKind>(read_u8(in, "telemetry event kind"));
     e.value = read_f64(in, "telemetry event value");
-    payload.events.push_back(e);
-  }
+    return e;
+  });
   return payload;
 }
-
-namespace {
-
-// Raw little-endian putters for the signal-safe frame encoder: identical
-// byte layout to binio's stream writers, no iostreams involved.
-std::size_t put_u32le(char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  return 4;
-}
-
-std::size_t put_u64le(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  return 8;
-}
-
-std::size_t put_f64le(char* p, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return put_u64le(p, bits);
-}
-
-/// Bytes one event occupies in a TelemetryEvents payload.
-constexpr std::size_t kEventWireSize = 6 * 8 + 1 + 2 * 8;
-
-}  // namespace
 
 std::size_t encode_telemetry_events_frame(char* buf, std::size_t cap,
                                           std::uint64_t seq,
                                           const obs::Event* events,
                                           std::size_t count) {
-  const std::size_t payload_size = 8 + count * kEventWireSize;
+  const std::size_t payload_size = events_payload_size(count);
   const std::size_t total = kFrameHeaderSize + payload_size;
   if (total > cap) return 0;
-  char* p = buf + kFrameHeaderSize;
-  p += put_u64le(p, count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const obs::Event& e = events[i];
-    p += put_u64le(p, e.seq);
-    p += put_f64le(p, e.ts_s);
-    p += put_u64le(p, static_cast<std::uint64_t>(e.period));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.interval));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.ra));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.slice));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.worker));
-    *p++ = static_cast<char>(e.kind);
-    p += put_f64le(p, e.value);
-  }
+  put_events_payload(buf + kFrameHeaderSize, events, count);
   char* h = buf;
   std::memcpy(h, kFrameMagic, 4);
   put_u32le(h + 4, kFrameFormatVersion);

@@ -88,10 +88,11 @@ std::string encode_telemetry_events(const TelemetryEventsPayload& payload);
 TelemetryEventsPayload decode_telemetry_events(const std::string& bytes);
 
 /// Async-signal-safe encoder of one complete TelemetryEvents FRAME
-/// (header + payload) into a caller-owned buffer: no allocation, no
-/// locks, no iostreams — the worker's crash-flush hook builds its final
-/// best-effort frame with this. Returns the number of bytes written, or
-/// 0 when `cap` cannot hold all `count` events.
+/// (header + the payload encode_telemetry_events writes, through the same
+/// writer) into a caller-owned buffer: no allocation, no locks, no
+/// iostreams — the worker's crash-flush hook builds its final best-effort
+/// frame with this. Returns the bytes written, or 0 when `cap` cannot
+/// hold all `count` events.
 std::size_t encode_telemetry_events_frame(char* buf, std::size_t cap,
                                           std::uint64_t seq,
                                           const obs::Event* events,

@@ -12,6 +12,7 @@
 
 #include "common/metrics.h"
 #include "common/trace_span.h"
+#include "core/ra_stepper.h"
 #include "ipc/frame.h"
 #include "ipc/wire.h"
 #include "obs/event_log.h"
@@ -19,30 +20,6 @@
 namespace edgeslice::ipc {
 
 namespace {
-
-/// Stateful frame sender: per-connection monotonic seq.
-class FrameSender {
- public:
-  explicit FrameSender(int fd) : fd_(fd) {}
-
-  bool send(FrameType type, std::uint32_t ra, std::string payload) {
-    Frame frame;
-    frame.type = type;
-    frame.ra = ra;
-    frame.seq = seq_++;
-    frame.payload = std::move(payload);
-    return write_frame(fd_, frame) == IoResult::Ok;
-  }
-
-  /// The crash-flush hook needs the live counter to stamp its final
-  /// frame with the next in-sequence seq (the assembler enforces strict
-  /// monotonicity).
-  std::uint64_t* seq_ptr() { return &seq_; }
-
- private:
-  int fd_;
-  std::uint64_t seq_ = 0;
-};
 
 std::string environment_blob(env::RaEnvironment& environment) {
   std::ostringstream out;
@@ -100,8 +77,13 @@ int worker_main(int fd, const WorkerContext& context) {
     reset_global_metrics_for_fork();
     reset_global_tracer_for_fork();
     obs::reset_global_event_log_for_fork();
-    FrameSender sender(fd);
     FrameReader reader;
+    // Per-connection monotonic seq; the crash-flush hook reads it too, to
+    // stamp its final frame with the next one in sequence.
+    std::uint64_t seq = 0;
+    const auto send = [&](FrameType type, std::uint32_t ra, std::string payload) {
+      return write_frame(fd, Frame{type, ra, seq++, std::move(payload)}) == IoResult::Ok;
+    };
 
     // RA index -> slot in context.hosted (environments/policies share it).
     auto slot_of = [&context](std::uint32_t ra) -> std::size_t {
@@ -115,8 +97,7 @@ int worker_main(int fd, const WorkerContext& context) {
     HelloPayload hello;
     hello.worker_index = context.index;
     hello.hosted_ras = context.hosted;
-    if (!sender.send(FrameType::Hello, kConnectionScope, encode_hello(hello)))
-      return 1;
+    if (!send(FrameType::Hello, kConnectionScope, encode_hello(hello))) return 1;
 
     // First event in every incarnation's window: this process exists.
     // (The supervisor records its own WorkerSpawn too; the imported copy
@@ -159,16 +140,57 @@ int worker_main(int fd, const WorkerContext& context) {
         prev = {cur.stats.count, cur.stats.total_s};
         snap.spans.push_back(std::move(delta));
       }
-      if (!sender.send(FrameType::TelemetrySnapshot, kConnectionScope,
-                       encode_telemetry_snapshot(snap))) {
+      if (!send(FrameType::TelemetrySnapshot, kConnectionScope,
+                encode_telemetry_snapshot(snap))) {
         return false;
       }
       TelemetryEventsPayload events;
       events.events = obs::global_event_log().snapshot_since(event_cursor);
       if (events.events.empty()) return true;
       event_cursor = events.events.back().seq + 1;
-      return sender.send(FrameType::TelemetryEvents, kConnectionScope,
-                         encode_telemetry_events(events));
+      return send(FrameType::TelemetryEvents, kConnectionScope,
+                  encode_telemetry_events(events));
+    };
+
+    // The hosted RAs step through the same RaStepper as an in-process pool
+    // task. Its batched actors and the per-RA trace buffers persist.
+    core::RaStepper stepper;
+    std::vector<TracePayload> traces(context.hosted.size());
+    std::vector<core::RaSlot> batch;
+    std::vector<double> ra_seconds;
+
+    // Step the entries [begin, end) of `run` that are to run, derated
+    // first, then send each one's Trace and EnvState in directive order.
+    const auto step_batch = [&](const RunPeriodPayload& run, std::size_t begin,
+                                std::size_t end) -> bool {
+      batch.clear();
+      for (std::size_t entry = begin; entry < end; ++entry) {
+        const core::RaPeriodDirective& d = run.directives[entry];
+        if (!d.run) continue;
+        const std::size_t slot = slot_of(run.ras[entry]);
+        if (d.has_derate) context.environments[slot]->set_resource_derate(d.derate);
+        traces[slot].period = run.period;
+        batch.push_back({context.environments[slot], context.policies[slot],
+                         &traces[slot].trace});
+      }
+      ra_seconds.resize(batch.size());
+      stepper.step_period(batch, nullptr, ra_seconds.data());
+      std::size_t k = 0;
+      for (std::size_t entry = begin; entry < end; ++entry) {
+        if (!run.directives[entry].run) continue;
+        const std::uint32_t ra = run.ras[entry];
+        const std::size_t slot = slot_of(ra);
+        global_tracer().record("worker.ra_period", ra_seconds[k]);
+        global_metrics().histogram("worker.ra_period_seconds").observe(ra_seconds[k++]);
+        global_metrics().counter("worker.intervals").add(traces[slot].trace.steps.size());
+        // The post-intervals blob rides along immediately: it is the
+        // supervisor's crash-restore point for this RA.
+        if (!send(FrameType::Trace, ra, encode_trace(traces[slot])) ||
+            !send(FrameType::EnvState, ra, environment_blob(*context.environments[slot]))) {
+          return false;
+        }
+      }
+      return true;
     };
 
     for (;;) {
@@ -194,7 +216,7 @@ int worker_main(int fd, const WorkerContext& context) {
           // the process dies.
           if (!crash_flush_armed && run.telemetry_every > 0 && metrics_enabled()) {
             g_crash_fd = fd;
-            g_crash_seq = sender.seq_ptr();
+            g_crash_seq = &seq;
             obs::set_crash_flush_hook(&crash_flush);
             crash_flush_armed = true;
           }
@@ -202,42 +224,21 @@ int worker_main(int fd, const WorkerContext& context) {
           global_tracer().set_period(run.period);
           obs::global_event_log().set_period(run.period);
           global_metrics().counter("worker.periods").add();
+          // Directives are handled in order. The entries up to a stall or
+          // abort directive step as one batch, so their frames are sent
+          // before the sleep or the exit.
+          std::size_t begin = 0;
           for (std::size_t entry = 0; entry < run.ras.size(); ++entry) {
-            const std::uint32_t ra = run.ras[entry];
             const core::RaPeriodDirective& d = run.directives[entry];
+            if (d.stall_ms == 0 && !d.abort_run) continue;
+            if (!step_batch(run, begin, entry)) return 1;
+            begin = entry;
             if (d.stall_ms > 0) {
               std::this_thread::sleep_for(std::chrono::milliseconds(d.stall_ms));
             }
             if (d.abort_run) _exit(1);  // chaos: die mid-exchange, no trace
-            if (!d.run) continue;
-            const std::size_t slot = slot_of(ra);
-            env::RaEnvironment& environment = *context.environments[slot];
-            core::RaPolicy& policy = *context.policies[slot];
-            if (d.has_derate) environment.set_resource_derate(d.derate);
-            TracePayload trace;
-            trace.period = run.period;
-            trace.trace.ran = true;
-            const std::size_t intervals = environment.config().intervals_per_period;
-            trace.trace.steps.reserve(intervals);
-            trace.trace.actions.reserve(intervals);
-            {
-              auto span = global_tracer().span("worker.ra_period");
-              for (std::size_t t = 0; t < intervals; ++t) {
-                std::vector<double> action = policy.decide(environment);
-                env::StepResult step = environment.step(action);
-                policy.feedback(step);
-                trace.trace.steps.push_back(std::move(step));
-                trace.trace.actions.push_back(std::move(action));
-              }
-              global_metrics().histogram("worker.ra_period_seconds").observe(span.stop());
-              global_metrics().counter("worker.intervals").add(intervals);
-            }
-            if (!sender.send(FrameType::Trace, ra, encode_trace(trace))) return 1;
-            // The post-intervals blob rides along immediately: it is the
-            // supervisor's crash-restore point for this RA.
-            if (!sender.send(FrameType::EnvState, ra, environment_blob(environment)))
-              return 1;
           }
+          if (!step_batch(run, begin, run.ras.size())) return 1;
           if (run.telemetry_every > 0 && ++periods_since_ship >= run.telemetry_every) {
             periods_since_ship = 0;
             if (!ship_telemetry(run.period)) return 1;
@@ -252,23 +253,17 @@ int worker_main(int fd, const WorkerContext& context) {
         }
         case FrameType::Snapshot: {
           env::RaEnvironment& environment = *context.environments[slot_of(frame.ra)];
-          if (!sender.send(FrameType::EnvState, frame.ra,
-                           environment_blob(environment))) {
-            return 1;
-          }
+          if (!send(FrameType::EnvState, frame.ra, environment_blob(environment))) return 1;
           break;
         }
         case FrameType::Restore: {
           std::istringstream blob(frame.payload);
           context.environments[slot_of(frame.ra)]->load_state(blob);
-          if (!sender.send(FrameType::Ack, frame.ra, encode_u64(0))) return 1;
+          if (!send(FrameType::Ack, frame.ra, encode_u64(0))) return 1;
           break;
         }
         case FrameType::Ping: {
-          if (!sender.send(FrameType::Pong, kConnectionScope,
-                           std::string(frame.payload))) {
-            return 1;
-          }
+          if (!send(FrameType::Pong, kConnectionScope, std::string(frame.payload))) return 1;
           break;
         }
         case FrameType::Shutdown:

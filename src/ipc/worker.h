@@ -3,12 +3,14 @@
 // A worker is forked by the WorkerSupervisor right after system
 // construction, inherits its hosted RAs' environments and policies, and
 // from then on speaks only ESFR frames over its socketpair: the
-// supervisor drives periods with RunPeriod, the worker answers with one
-// Trace + one EnvState frame per hosted RA (in directive order), and the
-// RC-L leg arrives as Coordination frames. Restore frames (crash
-// recovery, checkpoint load) replace an environment's state wholesale
-// and are Ack'd so the supervisor can sequence restores before the next
-// period.
+// supervisor drives periods with RunPeriod, the worker steps the directed
+// RAs through core::RaStepper, the body in-process pool tasks use, and
+// answers with one Trace + one EnvState frame per stepped RA (in
+// directive order; a stall_ms or abort_run directive first flushes the
+// RAs before it). The RC-L leg arrives as Coordination frames. Restore
+// frames (crash recovery, checkpoint load) replace an environment's state
+// wholesale and are Ack'd so the supervisor can sequence restores before
+// the next period.
 //
 // The worker is deliberately dumb: no timers, no retries, no knowledge
 // of faults beyond the chaos hooks in its directives (stall_ms sleeps,

@@ -12,7 +12,6 @@
 #include <exception>
 #include <ostream>
 
-#include "common/json.h"
 #include "common/metrics.h"
 
 namespace edgeslice::obs {
@@ -71,12 +70,6 @@ bool event_kind_is_fault(EventKind kind) {
 EventLog::EventLog(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       slots_(std::make_unique<Slot[]>(capacity_)) {}
-
-void EventLog::set_capacity(std::size_t capacity) {
-  capacity_ = capacity == 0 ? 1 : capacity;
-  slots_ = std::make_unique<Slot[]>(capacity_);
-  next_.store(0, std::memory_order_relaxed);
-}
 
 void EventLog::set_period(std::size_t period) {
   period_.store(period, std::memory_order_relaxed);
@@ -192,49 +185,6 @@ std::size_t EventLog::copy_events(Event* out, std::size_t cap) const {
 
 namespace {
 
-void write_event_json(std::ostream& out, const Event& e) {
-  const auto field = [&out](const char* name, std::size_t v, bool comma = true) {
-    out << '"' << name << "\": ";
-    if (v == Event::kNone) {
-      out << "null";
-    } else {
-      out << v;
-    }
-    if (comma) out << ", ";
-  };
-  out << "{\"seq\": " << e.seq << ", \"ts_s\": " << e.ts_s << ", ";
-  field("period", e.period);
-  field("interval", e.interval);
-  field("ra", e.ra);
-  field("slice", e.slice);
-  field("worker", e.worker);
-  out << "\"kind\": ";
-  write_json_escaped(out, event_kind_name(e.kind));
-  out << ", \"value\": " << e.value << "}";
-}
-
-}  // namespace
-
-void EventLog::write_jsonl(std::ostream& out) const {
-  for (const Event& e : snapshot()) {
-    write_event_json(out, e);
-    out << "\n";
-  }
-}
-
-void EventLog::write_json_array(std::ostream& out) const {
-  out << "[";
-  bool first = true;
-  for (const Event& e : snapshot()) {
-    out << (first ? "\n" : ",\n");
-    write_event_json(out, e);
-    first = false;
-  }
-  out << (first ? "]" : "\n]");
-}
-
-namespace {
-
 /// snprintf one size_t-or-null field into `buf + off`.
 int format_field(char* buf, std::size_t size, int off, const char* name,
                  std::size_t v, const char* suffix) {
@@ -247,7 +197,48 @@ int format_field(char* buf, std::size_t size, int off, const char* name,
                        static_cast<unsigned long long>(v), suffix);
 }
 
+/// The one event-object formatter (no newline) for every export path:
+/// snprintf into a caller-owned buffer, so the crash dump can use it from
+/// a signal handler. Doubles print with 17 significant digits, like
+/// json_number, so they parse back exactly. Returns the length, or 0 when
+/// the object does not fit.
+std::size_t format_event(const Event& e, char* buf, std::size_t size) {
+  int off = std::snprintf(buf, size, "{\"seq\": %llu, \"ts_s\": %.17g, ",
+                          static_cast<unsigned long long>(e.seq), e.ts_s);
+  off += format_field(buf, size, off, "period", e.period, ", ");
+  off += format_field(buf, size, off, "interval", e.interval, ", ");
+  off += format_field(buf, size, off, "ra", e.ra, ", ");
+  off += format_field(buf, size, off, "slice", e.slice, ", ");
+  off += format_field(buf, size, off, "worker", e.worker, ", ");
+  off += std::snprintf(buf + off, size - static_cast<std::size_t>(off),
+                       "\"kind\": \"%s\", \"value\": %.17g}",
+                       event_kind_name(e.kind), e.value);
+  if (off <= 0 || static_cast<std::size_t>(off) >= size) return 0;
+  return static_cast<std::size_t>(off);
+}
+
+constexpr std::size_t kEventLineSize = 512;
+
 }  // namespace
+
+void EventLog::write_jsonl(std::ostream& out) const {
+  char buf[kEventLineSize];
+  for (const Event& e : snapshot()) {
+    out.write(buf, static_cast<std::streamsize>(format_event(e, buf, sizeof(buf)))) << "\n";
+  }
+}
+
+void EventLog::write_json_array(std::ostream& out) const {
+  char buf[kEventLineSize];
+  out << "[";
+  bool first = true;
+  for (const Event& e : snapshot()) {
+    out << (first ? "\n" : ",\n");
+    out.write(buf, static_cast<std::streamsize>(format_event(e, buf, sizeof(buf))));
+    first = false;
+  }
+  out << (first ? "]" : "\n]");
+}
 
 int EventLog::dump_fd(int fd) const {
   int written = 0;
@@ -259,19 +250,11 @@ int EventLog::dump_fd(int fd) const {
     if (slot.state.load(std::memory_order_acquire) % 2 != 0) continue;
     Event e;
     load_slot(slot, e);
-    char buf[512];
-    int off = std::snprintf(buf, sizeof(buf), "{\"seq\": %llu, \"ts_s\": %.6f, ",
-                            static_cast<unsigned long long>(e.seq), e.ts_s);
-    off += format_field(buf, sizeof(buf), off, "period", e.period, ", ");
-    off += format_field(buf, sizeof(buf), off, "interval", e.interval, ", ");
-    off += format_field(buf, sizeof(buf), off, "ra", e.ra, ", ");
-    off += format_field(buf, sizeof(buf), off, "slice", e.slice, ", ");
-    off += format_field(buf, sizeof(buf), off, "worker", e.worker, ", ");
-    off += std::snprintf(buf + off, sizeof(buf) - static_cast<std::size_t>(off),
-                         "\"kind\": \"%s\", \"value\": %g}\n",
-                         event_kind_name(e.kind), e.value);
-    if (off <= 0 || static_cast<std::size_t>(off) >= sizeof(buf)) continue;
-    ssize_t n = ::write(fd, buf, static_cast<std::size_t>(off));
+    char buf[kEventLineSize];
+    std::size_t length = format_event(e, buf, sizeof(buf) - 1);
+    if (length == 0) continue;
+    buf[length++] = '\n';
+    ssize_t n = ::write(fd, buf, length);
     (void)n;
     ++written;
   }

@@ -102,9 +102,6 @@ class EventLog {
 
   explicit EventLog(std::size_t capacity = kDefaultCapacity);
 
-  /// Resize the ring, dropping its contents. NOT safe against concurrent
-  /// writers — call at startup or between runs (tests).
-  void set_capacity(std::size_t capacity);
   std::size_t capacity() const { return capacity_; }
 
   /// The period label record() stamps onto events whose writer left
@@ -140,7 +137,9 @@ class EventLog {
   /// strictness, exactly like dump_fd.
   std::size_t copy_events(Event* out, std::size_t cap) const;
 
-  /// snapshot() as JSON Lines, one event object per line.
+  /// snapshot() as JSON Lines, one event object per line — the same
+  /// bytes per event as dump_fd (one formatter serves every export path;
+  /// doubles carry 17 significant digits and parse back exactly).
   void write_jsonl(std::ostream& out) const;
   /// snapshot() as one JSON array (the /events.json HTTP payload).
   void write_json_array(std::ostream& out) const;

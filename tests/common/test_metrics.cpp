@@ -152,21 +152,6 @@ TEST_F(MetricsTest, JsonExportContainsAllKinds) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-TEST_F(MetricsTest, CsvExportOneRowPerScalar) {
-  MetricsRegistry registry;
-  registry.counter("c").add(2);
-  registry.gauge("g").set(4.0);
-  std::stringstream out;
-  registry.write_csv(out);
-  std::string line;
-  std::getline(out, line);
-  EXPECT_EQ(line, "kind,name,field,value");
-  std::getline(out, line);
-  EXPECT_EQ(line, "counter,c,value,2");
-  std::getline(out, line);
-  EXPECT_EQ(line, "gauge,g,value,4");
-}
-
 TEST_F(MetricsTest, ConcurrentRecordingIsExact) {
   MetricsRegistry registry;
   constexpr int kThreads = 4;

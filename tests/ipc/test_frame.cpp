@@ -16,6 +16,9 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
+#include <initializer_list>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -383,6 +386,165 @@ TEST(WireCodec, TruncatedPayloadsThrowInsteadOfMisparse) {
                std::runtime_error);
   const std::string hello = encode_hello(HelloPayload{1, {1, 2}});
   EXPECT_THROW(decode_hello(hello.substr(0, hello.size() - 1)), std::runtime_error);
+}
+
+TEST(WireCodec, TelemetrySnapshotRoundTripIsExact) {
+  TelemetrySnapshotPayload payload;
+  payload.period = 41;
+  payload.metrics.counters = {{"worker.periods", 7}, {"worker.intervals{worker=\"1\"}", 70}};
+  payload.metrics.gauges = {{"system.crashed_ras", 0.0}, {"bus.in_flight", -1.0 / 3.0}};
+  HistogramState state;
+  state.count = 3;
+  state.mean = 0.1;
+  state.m2 = 1e-9;
+  state.min = 0.03125;
+  state.max = 0.2;
+  state.total = 0.3;
+  state.zero_count = 1;
+  state.positive = {{4, 1}, {9, 2}};
+  state.negative = {{2, 5}};
+  payload.metrics.histograms = {{"worker.ra_period_seconds", state}};
+  SpanPeriodStats span;
+  span.path = "worker.ra_period";
+  span.period = 40;
+  span.stats = {3, 0.75, 0.125, 0.5};
+  payload.spans = {span};
+
+  const TelemetrySnapshotPayload got =
+      decode_telemetry_snapshot(encode_telemetry_snapshot(payload));
+  EXPECT_EQ(got.period, 41u);
+  EXPECT_EQ(got.metrics.counters, payload.metrics.counters);
+  EXPECT_EQ(got.metrics.gauges, payload.metrics.gauges);
+  ASSERT_EQ(got.metrics.histograms.size(), 1u);
+  EXPECT_EQ(got.metrics.histograms[0].first, "worker.ra_period_seconds");
+  const HistogramState& h = got.metrics.histograms[0].second;
+  EXPECT_EQ(h.count, state.count);
+  EXPECT_EQ(h.mean, state.mean);
+  EXPECT_EQ(h.m2, state.m2);
+  EXPECT_EQ(h.min, state.min);
+  EXPECT_EQ(h.max, state.max);
+  EXPECT_EQ(h.total, state.total);
+  EXPECT_EQ(h.zero_count, state.zero_count);
+  EXPECT_EQ(h.positive, state.positive);
+  EXPECT_EQ(h.negative, state.negative);
+  ASSERT_EQ(got.spans.size(), 1u);
+  EXPECT_EQ(got.spans[0].path, span.path);
+  EXPECT_EQ(got.spans[0].period, span.period);
+  EXPECT_EQ(got.spans[0].stats.count, span.stats.count);
+  EXPECT_EQ(got.spans[0].stats.total_s, span.stats.total_s);
+  EXPECT_EQ(got.spans[0].stats.min_s, span.stats.min_s);
+  EXPECT_EQ(got.spans[0].stats.max_s, span.stats.max_s);
+}
+
+TEST(WireCodec, TelemetryEventsRoundTripAndCrashFlushFrameMatch) {
+  TelemetryEventsPayload payload;
+  obs::Event first;
+  first.seq = 11;
+  first.ts_s = 123456.789012345;
+  first.period = 3;
+  first.ra = 2;
+  first.kind = obs::EventKind::CheckpointSaved;
+  first.value = 1234567.0;
+  obs::Event second;
+  second.seq = 12;
+  second.ts_s = 0.1;
+  second.interval = 9;
+  second.slice = 1;
+  second.worker = 4;
+  second.kind = obs::EventKind::TelemetryGap;
+  second.value = -0.5;
+  payload.events = {first, second};
+
+  const std::string bytes = encode_telemetry_events(payload);
+  const TelemetryEventsPayload got = decode_telemetry_events(bytes);
+  ASSERT_EQ(got.events.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const obs::Event& a = payload.events[i];
+    const obs::Event& b = got.events[i];
+    EXPECT_EQ(b.seq, a.seq);
+    EXPECT_EQ(b.ts_s, a.ts_s);
+    EXPECT_EQ(b.period, a.period);
+    EXPECT_EQ(b.interval, a.interval);
+    EXPECT_EQ(b.ra, a.ra);
+    EXPECT_EQ(b.slice, a.slice);
+    EXPECT_EQ(b.worker, a.worker);
+    EXPECT_EQ(b.kind, a.kind);
+    EXPECT_EQ(b.value, a.value);
+  }
+
+  // The crash-flush encoder writes the same payload inside a complete
+  // frame, byte for byte what encode_frame makes of the normal payload.
+  char buf[1024];
+  const std::size_t total =
+      encode_telemetry_events_frame(buf, sizeof(buf), 17, payload.events.data(), 2);
+  EXPECT_EQ(std::string(buf, total),
+            encode_frame(make_frame(FrameType::TelemetryEvents, 17, bytes)));
+  EXPECT_EQ(encode_telemetry_events_frame(buf, total - 1, 17, payload.events.data(), 2),
+            0u);
+}
+
+/// Runs `decode` and expects the count check's runtime_error (not a
+/// bad_alloc from reserving, nor a truncation error past the count).
+void expect_count_rejected(const std::function<void()>& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << "oversized count accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("exceeds the payload"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(WireCodec, OversizedCountsThrowBeforeAllocating) {
+  // Each payload is well-formed up to one element count, which claims
+  // 2^40 elements while only a few bytes follow: every decoder must
+  // refuse it with a runtime_error instead of reserving for it.
+  using Prefix = std::function<void(std::ostream&)>;
+  const auto hostile = [](const Prefix& prefix) {
+    std::ostringstream out;
+    prefix(out);
+    write_u64(out, std::uint64_t{1} << 40);
+    out << std::string(16, '\0');
+    return out.str();
+  };
+  const auto u64s = [](std::initializer_list<std::uint64_t> values) -> Prefix {
+    return [values](std::ostream& out) {
+      for (std::uint64_t v : values) write_u64(out, v);
+    };
+  };
+  const Prefix trace_steps = [](std::ostream& out) {
+    write_u64(out, 0);  // period
+    write_u8(out, 1);   // ran
+  };
+  const Prefix trace_actions = [&](std::ostream& out) {
+    trace_steps(out);
+    write_u64(out, 0);  // no steps
+  };
+  // Snapshot with no counters or gauges and one histogram "h", up to its
+  // positive bucket count.
+  const Prefix positive_buckets = [](std::ostream& out) {
+    for (std::uint64_t v : {0, 0, 0, 1}) write_u64(out, v);
+    write_string(out, "h");
+    write_u64(out, 1);                                // count
+    for (int i = 0; i < 5; ++i) write_f64(out, 0.0);  // mean m2 min max total
+    write_u64(out, 0);                                // zero_count
+  };
+  const Prefix negative_buckets = [&](std::ostream& out) {
+    positive_buckets(out);
+    write_u64(out, 0);  // no positive buckets
+  };
+
+  expect_count_rejected([&] { decode_hello(hostile(u64s({0}))); });
+  expect_count_rejected([&] { decode_run_period(hostile(u64s({0, 1}))); });
+  expect_count_rejected([&] { decode_trace(hostile(trace_steps)); });
+  expect_count_rejected([&] { decode_trace(hostile(trace_actions)); });
+  expect_count_rejected([&] { decode_telemetry_snapshot(hostile(u64s({0}))); });
+  expect_count_rejected([&] { decode_telemetry_snapshot(hostile(u64s({0, 0}))); });
+  expect_count_rejected([&] { decode_telemetry_snapshot(hostile(u64s({0, 0, 0}))); });
+  expect_count_rejected([&] { decode_telemetry_snapshot(hostile(positive_buckets)); });
+  expect_count_rejected([&] { decode_telemetry_snapshot(hostile(negative_buckets)); });
+  expect_count_rejected([&] { decode_telemetry_snapshot(hostile(u64s({0, 0, 0, 0}))); });
+  expect_count_rejected([&] { decode_telemetry_events(hostile(u64s({}))); });
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 #include "obs/event_log.h"
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -148,6 +150,37 @@ TEST_F(EventLogTest, JsonArrayBracketsTheSameObjects) {
   std::ostringstream none;
   empty.write_json_array(none);
   EXPECT_EQ(none.str(), "[]");
+}
+
+TEST_F(EventLogTest, JsonlAndCrashDumpPrintTheSameExactDoubles) {
+  // A host up for more than 10^5 s and a megabyte-sized checkpoint value:
+  // both must survive the text round trip bit for bit, on both paths.
+  EventLog log(4);
+  Event e = make_event(EventKind::CheckpointSaved, 2, Event::kNone, 1234567.0);
+  e.ts_s = 123456.789012345;
+  log.record_imported(e);
+
+  std::ostringstream jsonl;
+  log.write_jsonl(jsonl);
+  const std::string path = ::testing::TempDir() + "event_log_exact_doubles.jsonl";
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(log.dump_fd(fd), 1);
+  ::close(fd);
+  std::ifstream dumped(path);
+  std::ostringstream dump;
+  dump << dumped.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_EQ(jsonl.str(), dump.str());
+
+  const std::string line = jsonl.str();
+  const auto number_after = [&line](const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::strtod(line.c_str() + at + key.size() + 4, nullptr);
+  };
+  EXPECT_EQ(number_after("ts_s"), e.ts_s);
+  EXPECT_EQ(number_after("value"), 1234567.0);
 }
 
 TEST_F(EventLogTest, ConcurrentWritersNeverTearAndKeepAllEvents) {
