@@ -1,5 +1,6 @@
 #include "ckpt/container.h"
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -57,22 +58,30 @@ void CheckpointWriter::add_section(SectionKind kind, std::uint32_t index,
 }
 
 std::string CheckpointWriter::bytes() const {
-  std::ostringstream out;
-  out.write(kCkptMagic, sizeof(kCkptMagic));
-  write_u32(out, kCkptFormatVersion);
-  write_string(out, fingerprint_);
-  write_u64(out, sections_.size());
-  const std::string header = out.str();
-  write_u32(out, crc32(header));
+  // The image is sized up front and written in place: one allocation, no
+  // stream growth and no final copy.
+  constexpr std::size_t kSectionHeaderSize = 4 + 4 + 8 + 4;
+  const std::size_t header_size =
+      sizeof(kCkptMagic) + 4 + 8 + fingerprint_.size() + 8;
+  std::size_t total = header_size + 4;
+  for (const Section& s : sections_) total += kSectionHeaderSize + s.payload.size();
+  std::string image(total, '\0');
+  char* p = image.data();
+  std::memcpy(p, kCkptMagic, sizeof(kCkptMagic));
+  p = put_u32le(p + sizeof(kCkptMagic), kCkptFormatVersion);
+  p = put_u64le(p, fingerprint_.size());
+  std::memcpy(p, fingerprint_.data(), fingerprint_.size());
+  p = put_u64le(p + fingerprint_.size(), sections_.size());
+  p = put_u32le(p, crc32(image.data(), header_size));
   for (const Section& s : sections_) {
-    write_u32(out, static_cast<std::uint32_t>(s.kind));
-    write_u32(out, s.index);
-    write_u64(out, s.payload.size());
-    write_u32(out, crc32(s.payload));
-    out.write(s.payload.data(),
-              static_cast<std::streamsize>(s.payload.size()));
+    p = put_u32le(p, static_cast<std::uint32_t>(s.kind));
+    p = put_u32le(p, s.index);
+    p = put_u64le(p, s.payload.size());
+    p = put_u32le(p, crc32(s.payload));
+    std::memcpy(p, s.payload.data(), s.payload.size());
+    p += s.payload.size();
   }
-  return out.str();
+  return image;
 }
 
 bool CheckpointWriter::write_file(const std::string& path) const {

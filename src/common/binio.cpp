@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -16,25 +17,20 @@ namespace edgeslice {
 
 namespace {
 
+// The low `bytes` bytes of v, little-endian.
 void write_le(std::ostream& out, std::uint64_t v, std::size_t bytes) {
   char buf[8];
-  for (std::size_t i = 0; i < bytes; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
-  }
+  put_u64le(buf, v);
   out.write(buf, static_cast<std::streamsize>(bytes));
 }
 
 std::uint64_t read_le(std::istream& in, std::size_t bytes, const char* context) {
-  char buf[8];
+  char buf[8] = {};
   in.read(buf, static_cast<std::streamsize>(bytes));
   if (static_cast<std::size_t>(in.gcount()) != bytes) {
     throw std::runtime_error(std::string(context) + ": truncated stream");
   }
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
-  }
-  return v;
+  return get_u64le(buf);
 }
 
 }  // namespace
@@ -44,10 +40,9 @@ void write_u32(std::ostream& out, std::uint32_t v) { write_le(out, v, 4); }
 void write_u64(std::ostream& out, std::uint64_t v) { write_le(out, v, 8); }
 
 void write_f64(std::ostream& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_le(out, bits, 8);
+  char buf[8];
+  put_f64le(buf, v);
+  out.write(buf, sizeof(buf));
 }
 
 void write_string(std::ostream& out, const std::string& s) {
@@ -57,7 +52,13 @@ void write_string(std::ostream& out, const std::string& s) {
 
 void write_f64_vector(std::ostream& out, const std::vector<double>& v) {
   write_u64(out, v.size());
-  for (double x : v) write_f64(out, x);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory block already is the little-endian bit patterns.
+    out.write(reinterpret_cast<const char*>(v.data()),
+              static_cast<std::streamsize>(v.size() * sizeof(double)));
+  } else {
+    for (double x : v) write_f64(out, x);
+  }
 }
 
 std::uint8_t read_u8(std::istream& in, const char* context) {
@@ -101,32 +102,59 @@ std::vector<double> read_f64_vector(std::istream& in, const char* context,
                              std::to_string(n) + " exceeds limit");
   }
   std::vector<double> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = read_f64(in, context);
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto bytes = static_cast<std::streamsize>(n * sizeof(double));
+    if (n > 0 && !in.read(reinterpret_cast<char*>(v.data()), bytes)) {
+      throw std::runtime_error(std::string(context) + ": truncated stream");
+    }
+  } else {
+    for (auto& x : v) x = read_f64(in, context);
+  }
   return v;
 }
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the byte-at-a-time table of the reflected polynomial
+/// 0xEDB88320; tables[k][b] is the CRC of byte b followed by k zero bytes,
+/// so eight table lookups advance the CRC over eight bytes at once.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
+  const auto* p = static_cast<const char*>(data);
   std::uint32_t c = 0xffffffffu;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    const std::uint32_t lo = get_u32le(p) ^ c;
+    const std::uint32_t hi = get_u32le(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

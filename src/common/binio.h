@@ -12,7 +12,10 @@
 // these paths under ASan/UBSan).
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -28,7 +31,7 @@ void write_u64(std::ostream& out, std::uint64_t v);
 void write_f64(std::ostream& out, double v);
 /// u64 length prefix + raw bytes.
 void write_string(std::ostream& out, const std::string& s);
-/// u64 element count + packed f64s.
+/// u64 element count + packed f64s, the block in one stream write.
 void write_f64_vector(std::ostream& out, const std::vector<double>& v);
 
 // --- Readers ---------------------------------------------------------------
@@ -44,15 +47,57 @@ double read_f64(std::istream& in, const char* context);
 /// Rejects length prefixes above `max_bytes` before allocating.
 std::string read_string(std::istream& in, const char* context,
                         std::uint64_t max_bytes = 1ull << 30);
-/// Rejects element counts above `max_elements` before allocating.
+/// Rejects element counts above `max_elements` before allocating; reads
+/// the block in one stream read.
 std::vector<double> read_f64_vector(std::istream& in, const char* context,
                                     std::uint64_t max_elements = 1ull << 27);
+
+// --- Raw little-endian stores and loads -------------------------------------
+//
+// The same byte layout as the stream writers above, at a caller-owned
+// pointer: no allocation, no locks, async-signal-safe. Each put returns
+// the pointer just past what it wrote.
+
+inline char* put_u32le(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  return p + 4;
+}
+
+inline char* put_u64le(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  return p + 8;
+}
+
+inline char* put_f64le(char* p, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return put_u64le(p, bits);
+}
+
+namespace detail {
+template <typename T>
+inline T get_le(const char* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));  // one load: the CRC kernel's hot path
+  } else {
+    for (int i = sizeof(T) - 1; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
+  }
+  return v;
+}
+}  // namespace detail
+
+inline std::uint32_t get_u32le(const char* p) { return detail::get_le<std::uint32_t>(p); }
+inline std::uint64_t get_u64le(const char* p) { return detail::get_le<std::uint64_t>(p); }
 
 // --- Integrity -------------------------------------------------------------
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), as used by zip/png. The
 /// checkpoint container stores one per section payload and one over the
-/// file header.
+/// file header; every ESFR frame carries one over its header and one over
+/// its payload. Slicing-by-8 over tables built at compile time, so it
+/// allocates nothing, takes no lock and is async-signal-safe from the
+/// first call.
 std::uint32_t crc32(const void* data, std::size_t size);
 std::uint32_t crc32(const std::string& bytes);
 

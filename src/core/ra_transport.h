@@ -18,9 +18,10 @@
 //    degrades it exactly like a crashed RA — carry-forward, then column
 //    freeze;
 //  * environment_state(j) is the RA's environment blob at the last
-//    completed period boundary (the ESCK Environment section payload), so
-//    a system checkpoint taken through the transport matches an
-//    in-process checkpoint byte for byte.
+//    completed period boundary (the ESCK Environment section payload):
+//    its last post-intervals state with the last delivered coordination
+//    vector applied. So a system checkpoint taken through the transport
+//    matches an in-process checkpoint byte for byte.
 #pragma once
 
 #include <array>
@@ -90,9 +91,9 @@ class RaTransport {
   /// flush buffered frames and update liveness accounting here.
   virtual void end_period(std::size_t period) = 0;
 
-  /// Fresh environment blob for RA `ra` (ESCK Environment payload),
-  /// fetched from the remote side — after end_period this includes the
-  /// latest delivered coordination, i.e. it is byte-identical to what an
+  /// Environment blob for RA `ra` (ESCK Environment payload) at the last
+  /// period boundary — after end_period this includes the latest
+  /// delivered coordination, i.e. it is byte-identical to what an
   /// in-process environment would serialize at the same boundary. Throws
   /// std::runtime_error when the RA's worker is down and cannot be
   /// restored.

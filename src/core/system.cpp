@@ -387,9 +387,9 @@ bool EdgeSliceSystem::save_checkpoint(const std::string& path) const {
   writer.add_section(ckpt::SectionKind::MessageBus, 0, bus.str());
 
   // Environment sections come from wherever the environments actually
-  // live. Transport snapshots are requested after the period's
-  // coordination frames (socket ordering guarantees the worker applied
-  // them first), so the blobs are byte-identical to an in-process
+  // live. A transport returns each RA's state at the period boundary: the
+  // supervisor's last post-intervals blob with the last delivered
+  // coordination vector applied, byte-identical to an in-process
   // save_state at the same boundary.
   for (std::size_t j = 0; j < environments_.size(); ++j) {
     std::string blob;

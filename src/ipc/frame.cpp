@@ -8,33 +8,6 @@
 
 namespace edgeslice::ipc {
 
-namespace {
-
-void put_u32(char* p, std::uint32_t v) {
-  p[0] = static_cast<char>(v & 0xFF);
-  p[1] = static_cast<char>((v >> 8) & 0xFF);
-  p[2] = static_cast<char>((v >> 16) & 0xFF);
-  p[3] = static_cast<char>((v >> 24) & 0xFF);
-}
-
-void put_u64(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
-}  // namespace
-
 const char* frame_type_name(FrameType type) {
   switch (type) {
     case FrameType::Hello: return "hello";
@@ -44,7 +17,6 @@ const char* frame_type_name(FrameType type) {
     case FrameType::Coordination: return "coordination";
     case FrameType::Ping: return "ping";
     case FrameType::Pong: return "pong";
-    case FrameType::Snapshot: return "snapshot";
     case FrameType::Restore: return "restore";
     case FrameType::Ack: return "ack";
     case FrameType::Shutdown: return "shutdown";
@@ -57,17 +29,22 @@ const char* frame_type_name(FrameType type) {
   return "unknown";
 }
 
+void put_frame_header(char* header, FrameType type, std::uint32_t ra, std::uint64_t seq,
+                      const char* payload, std::size_t payload_size) {
+  std::memcpy(header, kFrameMagic, 4);
+  put_u32le(header + 4, kFrameFormatVersion);
+  put_u32le(header + 8, static_cast<std::uint32_t>(type));
+  put_u32le(header + 12, ra);
+  put_u64le(header + 16, seq);
+  put_u64le(header + 24, payload_size);
+  put_u32le(header + 32, crc32(payload, payload_size));
+  put_u32le(header + 36, crc32(header, 36));
+}
+
 std::string encode_frame(const Frame& frame) {
   std::string out(kFrameHeaderSize + frame.payload.size(), '\0');
-  char* h = out.data();
-  std::memcpy(h, kFrameMagic, 4);
-  put_u32(h + 4, kFrameFormatVersion);
-  put_u32(h + 8, static_cast<std::uint32_t>(frame.type));
-  put_u32(h + 12, frame.ra);
-  put_u64(h + 16, frame.seq);
-  put_u64(h + 24, frame.payload.size());
-  put_u32(h + 32, crc32(frame.payload));
-  put_u32(h + 36, crc32(h, 36));
+  put_frame_header(out.data(), frame.type, frame.ra, frame.seq, frame.payload.data(),
+                   frame.payload.size());
   std::memcpy(out.data() + kFrameHeaderSize, frame.payload.data(),
               frame.payload.size());
   return out;
@@ -76,17 +53,17 @@ std::string encode_frame(const Frame& frame) {
 void decode_frame_header(const char* bytes, Frame& out, std::uint64_t& payload_len) {
   if (std::memcmp(bytes, kFrameMagic, 4) != 0)
     throw std::runtime_error("ipc frame: bad magic");
-  const std::uint32_t header_crc = get_u32(bytes + 36);
+  const std::uint32_t header_crc = get_u32le(bytes + 36);
   if (crc32(bytes, 36) != header_crc)
     throw std::runtime_error("ipc frame: header CRC mismatch");
-  const std::uint32_t version = get_u32(bytes + 4);
+  const std::uint32_t version = get_u32le(bytes + 4);
   if (version != kFrameFormatVersion)
     throw std::runtime_error("ipc frame: unsupported version " +
                              std::to_string(version));
-  out.type = static_cast<FrameType>(get_u32(bytes + 8));
-  out.ra = get_u32(bytes + 12);
-  out.seq = get_u64(bytes + 16);
-  payload_len = get_u64(bytes + 24);
+  out.type = static_cast<FrameType>(get_u32le(bytes + 8));
+  out.ra = get_u32le(bytes + 12);
+  out.seq = get_u64le(bytes + 16);
+  payload_len = get_u64le(bytes + 24);
   if (payload_len > kMaxFramePayload)
     throw std::runtime_error("ipc frame: absurd payload length " +
                              std::to_string(payload_len));
@@ -100,24 +77,29 @@ void verify_frame_payload(std::uint32_t expected_crc, const std::string& payload
 std::vector<Frame> FrameAssembler::feed(const char* data, std::size_t size) {
   buffer_.append(data, size);
   std::vector<Frame> frames;
+  // Frames are consumed through a read offset; the buffer is compacted
+  // once, after the last whole frame, not once per frame.
+  std::size_t head = 0;
   for (;;) {
-    if (buffer_.size() < kFrameHeaderSize) break;
+    const std::size_t available = buffer_.size() - head;
+    if (available < kFrameHeaderSize) break;
+    const char* bytes = buffer_.data() + head;
     Frame frame;
     std::uint64_t payload_len = 0;
-    decode_frame_header(buffer_.data(), frame, payload_len);  // throws
-    if (buffer_.size() < kFrameHeaderSize + payload_len) break;
-    frame.payload = buffer_.substr(kFrameHeaderSize,
-                                   static_cast<std::size_t>(payload_len));
-    verify_frame_payload(get_u32(buffer_.data() + 32), frame.payload);
+    decode_frame_header(bytes, frame, payload_len);  // throws
+    if (available < kFrameHeaderSize + payload_len) break;
+    frame.payload.assign(bytes + kFrameHeaderSize, static_cast<std::size_t>(payload_len));
+    verify_frame_payload(get_u32le(bytes + 32), frame.payload);
     if (frame.seq != next_seq_) {
       throw std::runtime_error("ipc frame: seq break (expected " +
                                std::to_string(next_seq_) + ", got " +
                                std::to_string(frame.seq) + ")");
     }
     ++next_seq_;
-    buffer_.erase(0, kFrameHeaderSize + static_cast<std::size_t>(payload_len));
+    head += kFrameHeaderSize + static_cast<std::size_t>(payload_len);
     frames.push_back(std::move(frame));
   }
+  buffer_.erase(0, head);
   return frames;
 }
 

@@ -44,7 +44,7 @@ inline constexpr char kFrameMagic[4] = {'E', 'S', 'F', 'R'};
 /// Wire frame format version. Bump on ANY change to the header layout or
 /// a frame payload, and update FORMATS.md in the same commit (the
 /// docs-check test cross-checks the two).
-inline constexpr std::uint32_t kFrameFormatVersion = 3;
+inline constexpr std::uint32_t kFrameFormatVersion = 4;
 
 inline constexpr std::size_t kFrameHeaderSize = 40;
 
@@ -64,7 +64,8 @@ enum class FrameType : std::uint32_t {
   Coordination = 5,  // sup -> worker: RC-L z - y vector for one RA
   Ping = 6,        // either direction: u64 nonce
   Pong = 7,        // reply: the same nonce
-  Snapshot = 8,    // sup -> worker: request a fresh EnvState for one RA
+  // Code 8 is reserved: the Snapshot request, retired in v4 (checkpoints
+  // are built from the supervisor's cached EnvState blobs).
   Restore = 9,     // sup -> worker: load this blob into one RA's environment
   Ack = 10,        // worker -> sup: Restore applied (u64 code, 0 = ok)
   Shutdown = 11,   // sup -> worker: exit cleanly
@@ -88,6 +89,12 @@ struct Frame {
 
 /// Encode header + payload into one contiguous buffer.
 std::string encode_frame(const Frame& frame);
+
+/// Write the 40-byte header of a frame whose `payload_size` payload bytes
+/// are at `payload` (both CRCs included) to `header`. No allocation, no
+/// locks: the worker's crash-flush frame is built with it too.
+void put_frame_header(char* header, FrameType type, std::uint32_t ra, std::uint64_t seq,
+                      const char* payload, std::size_t payload_size);
 
 /// Decode and fully validate a frame header (40 bytes). Returns the
 /// declared payload length via `payload_len`. Throws std::runtime_error

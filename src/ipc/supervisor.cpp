@@ -54,7 +54,6 @@ WorkerSupervisor::WorkerSupervisor(std::vector<env::RaEnvironment*> environments
   }
   blob_cache_.resize(environments_.size());
   coordination_cache_.resize(environments_.size());
-  env_state_mark_.assign(environments_.size(), 0);
   ack_mark_.assign(environments_.size(), 0);
   aggregator_.reset(config_.workers);
 }
@@ -160,7 +159,6 @@ void WorkerSupervisor::spawn(std::size_t index) {
   worker.fd = fds[0];
   worker.send_seq = 0;
   worker.hello_seen = false;
-  worker.inbox.clear();
   worker.alive = true;
   loop_.add(
       worker.fd,
@@ -293,7 +291,6 @@ void WorkerSupervisor::on_frame(std::size_t index, Frame&& frame) {
     case FrameType::EnvState: {
       if (frame.ra >= environments_.size()) break;
       blob_cache_[frame.ra] = std::move(frame.payload);
-      ++env_state_mark_[frame.ra];
       if (collecting_) collect_have_blob_[frame.ra] = true;
       break;
     }
@@ -316,11 +313,18 @@ void WorkerSupervisor::on_frame(std::size_t index, Frame&& frame) {
       break;
     }
     case FrameType::Pong:
+      ++worker.pongs;
       break;
     default:
-      worker.inbox.push_back(std::move(frame));
-      break;
+      break;  // no other type is sent worker -> supervisor
   }
+}
+
+void WorkerSupervisor::drain(std::size_t index) {
+  Worker& worker = workers_[index];
+  const std::uint64_t mark = worker.pongs;
+  if (!send_to(index, FrameType::Ping, kConnectionScope, encode_u64(mark))) return;
+  pump([&] { return worker.pongs != mark || !worker.alive; }, config_.io_deadline_ms);
 }
 
 bool WorkerSupervisor::pump(const std::function<bool()>& done, int deadline_ms) {
@@ -377,6 +381,10 @@ std::vector<core::RaPeriodTrace> WorkerSupervisor::run_intervals(
     if (fault_handled[w]) continue;
     fault_handled[w] = true;
     Worker& worker = workers_[w];
+    // Read what the worker sent before the fault first: its last period's
+    // TelemetrySnapshot/TelemetryEvents need not have arrived yet, and
+    // closing the socket would drop them with it.
+    if (worker.alive) drain(w);
     if (worker.alive) {
       if (fault == ProcessFaultKind::HalfClose && worker.fd >= 0) {
         // Half-close: the worker sees EOF on its next read and exits;
@@ -505,17 +513,19 @@ std::string WorkerSupervisor::environment_state(std::size_t ra) {
   if (!worker.alive)
     throw std::runtime_error("WorkerSupervisor: RA " + std::to_string(ra) +
                              "'s worker is down; no fresh state available");
-  const std::uint64_t mark = env_state_mark_[ra];
-  if (!send_to(w, FrameType::Snapshot, static_cast<std::uint32_t>(ra), ""))
-    throw std::runtime_error("WorkerSupervisor: snapshot request failed");
-  if (!pump([&] { return env_state_mark_[ra] != mark || !worker.alive; },
-            config_.io_deadline_ms) ||
-      !worker.alive) {
-    declare_dead(w, obs::EventKind::WorkerHung);
-    throw std::runtime_error("WorkerSupervisor: snapshot of RA " +
-                             std::to_string(ra) + " timed out");
+  // The worker's state is the cached post-intervals blob with the last
+  // delivered coordination vector applied (the rule restore_hosted relies
+  // on), so it is rebuilt here, in the parent's never-stepped copy of the
+  // environment, without a round trip.
+  env::RaEnvironment& environment = *environments_[ra];
+  std::istringstream blob(blob_cache_[ra]);
+  environment.load_state(blob);
+  if (coordination_cache_[ra].has_value()) {
+    environment.set_coordination(*coordination_cache_[ra]);
   }
-  return blob_cache_[ra];
+  std::ostringstream out;
+  environment.save_state(out);
+  return out.str();
 }
 
 void WorkerSupervisor::restore_environment(std::size_t ra, const std::string& blob) {

@@ -8,12 +8,14 @@
 //  * per-send deadlines with bounded exponential backoff (SendOptions);
 //  * a per-period trace deadline — a worker that has not delivered its
 //    traces in time is declared hung, SIGKILLed, and restarted;
-//  * crash restore from cached state: the supervisor keeps, per RA, the
-//    last post-intervals environment blob (shipped by the worker with
-//    every trace) plus the last successfully delivered coordination
-//    vector. Restoring a fresh worker replays blob-then-coordination,
-//    which reconstructs the exact post-coordination state because
-//    set_coordination only stores the vector;
+//  * crash restore and checkpoints from cached state: the supervisor
+//    keeps, per RA, the last post-intervals environment blob (shipped by
+//    the worker with every trace) plus the last successfully delivered
+//    coordination vector. Blob-then-coordination is the exact
+//    post-coordination state, because set_coordination only stores the
+//    vector: restoring a fresh worker replays the pair over the wire, and
+//    environment_state() applies it to the parent's copy of the
+//    environment and serializes that, with no round trip;
 //  * restart-storm capping: consecutive unplanned restarts back off
 //    exponentially and stop at max_restart_attempts — a permanently
 //    failing worker stays down and its RAs column-freeze, bounding the
@@ -23,7 +25,8 @@
 //    respawn + restore of every hosted RA, so the plan's ra_crashed()
 //    bookkeeping — which single-process runs use directly — matches what
 //    physically happened and trajectories stay bit-identical for any
-//    worker count.
+//    worker count. Before the physical action a Ping round trip receives
+//    whatever the worker already sent (its last telemetry included).
 //
 // start() forks; call it before creating any threads (thread pools,
 // telemetry) so the children are single-threaded images. Later respawns
@@ -35,7 +38,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -58,7 +60,8 @@ struct SupervisorConfig {
   /// How long one period's trace collection may take before stragglers
   /// are declared hung and killed.
   int trace_deadline_ms = 30000;
-  /// Deadline for small control exchanges (hello, snapshot, restore ack).
+  /// Deadline for small control exchanges (hello, restore ack, the Ping
+  /// round trip before a planned fault).
   int io_deadline_ms = 10000;
   /// Unplanned-restart backoff: first retry after `initial`, doubling to
   /// `max`; after `max_restart_attempts` consecutive failures the worker
@@ -78,8 +81,9 @@ class WorkerSupervisor final : public core::RaTransport {
  public:
   /// `environments` / `policies` are indexed by RA and must outlive the
   /// supervisor. The parent-side objects are used only (a) to capture the
-  /// initial state blobs before the first fork and (b) inside the forked
-  /// children; the parent never steps them.
+  /// initial state blobs before the first fork, (b) inside the forked
+  /// children and (c) by environment_state(), which loads cached state
+  /// into an environment to serialize it; the parent never steps them.
   WorkerSupervisor(std::vector<env::RaEnvironment*> environments,
                    std::vector<core::RaPolicy*> policies,
                    SupervisorConfig config = {});
@@ -132,7 +136,7 @@ class WorkerSupervisor final : public core::RaTransport {
     std::size_t restarts = 0;  // lifetime restarts (introspection)
     int backoff_ms = 0;
     std::int64_t next_restart_ms = 0;  // earliest allowed unplanned respawn
-    std::deque<Frame> inbox;           // frames not consumed by a handler
+    std::uint64_t pongs = 0;           // Pong frames received (drain marks)
   };
 
   void spawn(std::size_t worker);
@@ -147,6 +151,10 @@ class WorkerSupervisor final : public core::RaTransport {
   bool respawn(std::size_t worker);
   bool send_to(std::size_t worker, FrameType type, std::uint32_t ra,
                std::string payload);
+  /// Receive every frame `worker` sent before this call: a Ping, then pump
+  /// until its Pong (the worker answers frames in order). Bounded by
+  /// io_deadline_ms.
+  void drain(std::size_t worker);
   void on_frame(std::size_t worker, Frame&& frame);
   /// Pump the loop until `done` or deadline; never throws on worker
   /// failure (deaths surface through alive flags).
@@ -167,8 +175,8 @@ class WorkerSupervisor final : public core::RaTransport {
   // Per-RA restore caches (see header comment).
   std::vector<std::string> blob_cache_;
   std::vector<std::optional<std::vector<double>>> coordination_cache_;
-  // Receipt marks, bumped by on_frame; exchanges wait for a change.
-  std::vector<std::uint64_t> env_state_mark_;
+  // Restore-ack receipt marks, bumped by on_frame; exchanges wait for a
+  // change.
   std::vector<std::uint64_t> ack_mark_;
 
   // Active trace collection (run_intervals).

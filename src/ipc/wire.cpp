@@ -1,7 +1,6 @@
 #include "ipc/wire.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -56,42 +55,23 @@ void read_list(std::istream& in, std::size_t min_size, const char* context,
 /// Bytes one event occupies in a TelemetryEvents payload.
 constexpr std::size_t kEventWireSize = 6 * 8 + 1 + 2 * 8;
 
-// Raw little-endian putters for the TelemetryEvents encoders (the crash
-// flush runs in a signal handler): identical byte layout to binio's
-// stream writers, no iostreams involved.
-std::size_t put_u32le(char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  return 4;
-}
-
-std::size_t put_u64le(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  return 8;
-}
-
-std::size_t put_f64le(char* p, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return put_u64le(p, bits);
-}
-
 std::size_t events_payload_size(std::size_t count) { return 8 + count * kEventWireSize; }
 
 /// The one TelemetryEvents payload writer: `events_payload_size(count)`
 /// bytes at `p`, no allocation.
 void put_events_payload(char* p, const obs::Event* events, std::size_t count) {
-  p += put_u64le(p, count);
+  p = put_u64le(p, count);
   for (std::size_t i = 0; i < count; ++i) {
     const obs::Event& e = events[i];
-    p += put_u64le(p, e.seq);
-    p += put_f64le(p, e.ts_s);
-    p += put_u64le(p, static_cast<std::uint64_t>(e.period));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.interval));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.ra));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.slice));
-    p += put_u64le(p, static_cast<std::uint64_t>(e.worker));
+    p = put_u64le(p, e.seq);
+    p = put_f64le(p, e.ts_s);
+    p = put_u64le(p, static_cast<std::uint64_t>(e.period));
+    p = put_u64le(p, static_cast<std::uint64_t>(e.interval));
+    p = put_u64le(p, static_cast<std::uint64_t>(e.ra));
+    p = put_u64le(p, static_cast<std::uint64_t>(e.slice));
+    p = put_u64le(p, static_cast<std::uint64_t>(e.worker));
     *p++ = static_cast<char>(e.kind);
-    p += put_f64le(p, e.value);
+    p = put_f64le(p, e.value);
   }
 }
 
@@ -336,15 +316,8 @@ std::size_t encode_telemetry_events_frame(char* buf, std::size_t cap,
   const std::size_t total = kFrameHeaderSize + payload_size;
   if (total > cap) return 0;
   put_events_payload(buf + kFrameHeaderSize, events, count);
-  char* h = buf;
-  std::memcpy(h, kFrameMagic, 4);
-  put_u32le(h + 4, kFrameFormatVersion);
-  put_u32le(h + 8, static_cast<std::uint32_t>(FrameType::TelemetryEvents));
-  put_u32le(h + 12, kConnectionScope);
-  put_u64le(h + 16, seq);
-  put_u64le(h + 24, payload_size);
-  put_u32le(h + 32, crc32(buf + kFrameHeaderSize, payload_size));
-  put_u32le(h + 36, crc32(h, 36));
+  put_frame_header(buf, FrameType::TelemetryEvents, kConnectionScope, seq,
+                   buf + kFrameHeaderSize, payload_size);
   return total;
 }
 

@@ -2,10 +2,9 @@
 //
 // Every payload is binio-serialized (little-endian, doubles as IEEE-754
 // bit patterns) so a trace that crosses the wire is byte-for-byte the
-// data an in-process run would have produced. EnvState / Snapshot /
-// Restore payloads are NOT defined here: their bodies are existing ESCK
-// Environment section payloads carried verbatim (or empty, for the
-// Snapshot request) — see src/ckpt/format.h.
+// data an in-process run would have produced. EnvState / Restore
+// payloads are NOT defined here: their bodies are existing ESCK
+// Environment section payloads carried verbatim — see src/ckpt/format.h.
 #pragma once
 
 #include <cstddef>

@@ -251,11 +251,6 @@ int worker_main(int fd, const WorkerContext& context) {
               coordination.z_minus_y);
           break;
         }
-        case FrameType::Snapshot: {
-          env::RaEnvironment& environment = *context.environments[slot_of(frame.ra)];
-          if (!send(FrameType::EnvState, frame.ra, environment_blob(environment))) return 1;
-          break;
-        }
         case FrameType::Restore: {
           std::istringstream blob(frame.payload);
           context.environments[slot_of(frame.ra)]->load_state(blob);

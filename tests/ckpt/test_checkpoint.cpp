@@ -35,6 +35,30 @@ std::string two_section_image() {
   return writer.bytes();
 }
 
+TEST(Container, ImageMatchesTheStreamWrittenLayout) {
+  // The writer sizes the image up front and fills it in place; the bytes
+  // must be exactly the Sec. 2.1 layout written field by field.
+  std::ostringstream out;
+  out.write(kCkptMagic, 4);
+  write_u32(out, kCkptFormatVersion);
+  write_string(out, "experiment = test\nseed = 7\n");
+  write_u64(out, 2);
+  write_u32(out, crc32(out.str()));
+  const auto section = [&](SectionKind kind, std::uint32_t index, const std::string& payload) {
+    write_u32(out, static_cast<std::uint32_t>(kind));
+    write_u32(out, index);
+    write_u64(out, payload.size());
+    write_u32(out, crc32(payload));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  };
+  section(SectionKind::Meta, 0, "hello");
+  section(SectionKind::Environment, 3, std::string("\x00\x01\xff", 3));
+  EXPECT_EQ(two_section_image(), out.str());
+
+  CheckpointWriter empty("");
+  EXPECT_EQ(CheckpointReader::from_bytes(empty.bytes()).sections().size(), 0u);
+}
+
 TEST(Container, RoundTripsSectionsAndFingerprint) {
   const auto reader = CheckpointReader::from_bytes(two_section_image());
   EXPECT_EQ(reader.fingerprint(), "experiment = test\nseed = 7\n");

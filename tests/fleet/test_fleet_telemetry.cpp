@@ -208,6 +208,45 @@ TEST_F(FleetTelemetryTest, ChaosRunPublishesEverySlotIncludingTheKilledOne) {
       << fleet;
 }
 
+TEST_F(FleetTelemetryTest, PlannedKillFirstReceivesWhatTheWorkerAlreadySent) {
+  // The race behind a lost telemetry pair, made to happen on every run: a
+  // worker ships its TelemetrySnapshot/TelemetryEvents after the period's
+  // Trace/EnvState frames, and the supervisor waits only for the latter.
+  // Here no RA runs in period 0, so run_intervals waits for nothing and
+  // reads no byte of the period-0 pair; period 1's planned kill then
+  // fires with the pair, and the first incarnation's WorkerSpawn event in
+  // it, still unread.
+  std::vector<std::unique_ptr<env::RaEnvironment>> environments;
+  environments.push_back(make_env(Rng(41)));
+  core::TaroPolicy policy;
+  SupervisorConfig config;
+  config.workers = 1;
+  config.telemetry_every = 1;
+  WorkerSupervisor supervisor({environments[0].get()}, {&policy}, config);
+  supervisor.start();
+
+  std::vector<core::RaPeriodDirective> directives(1);
+  directives[0].run = false;
+  supervisor.run_intervals(0, directives);
+  const pid_t first = supervisor.worker_pid(0);
+  directives[0].fault = ProcessFaultKind::Kill;
+  supervisor.run_intervals(1, directives);
+  ASSERT_EQ(supervisor.restart_count(0), 1u);
+  ASSERT_NE(supervisor.worker_pid(0), first);
+
+  bool first_spawn_imported = false;
+  for (const obs::Event& e : obs::global_event_log().snapshot()) {
+    if (e.kind == obs::EventKind::WorkerSpawn && e.worker == 0 &&
+        e.value == static_cast<double>(first)) {
+      first_spawn_imported = true;
+    }
+  }
+  EXPECT_TRUE(first_spawn_imported)
+      << "the killed incarnation's period-0 telemetry was dropped with its socket";
+  EXPECT_GE(labeled_counter("worker.periods", 0), 1u);
+  supervisor.stop();
+}
+
 TEST_F(FleetTelemetryTest, CleanShutdownFinalFlushDeliversACoarseCadence) {
   // A cadence longer than the run: nothing ships period-by-period, so
   // everything rides the Shutdown final flush — which stop() must wait

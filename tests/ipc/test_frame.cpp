@@ -73,6 +73,31 @@ TEST(FrameCodec, RoundTripPreservesEveryField) {
   EXPECT_NO_THROW(verify_frame_payload(crc32(sent.payload), body));
 }
 
+TEST(FrameCodec, EncodeMatchesGoldenBytes) {
+  // Produced by the byte-at-a-time CRC-32 encoder of wire format v3 with
+  // the version field set to 4 and the header CRC recomputed by that
+  // encoder; python's zlib.crc32 agrees (payload 0xe51f5ff0, header
+  // 0x5545d631). The 77-byte payload covers nine eight-byte blocks and a
+  // five-byte tail of the CRC kernel.
+  std::string payload;
+  for (int i = 0; i < 77; ++i) payload.push_back(static_cast<char>((i * 37 + 11) & 0xff));
+  const Frame frame = make_frame(FrameType::EnvState, 0x0102030405060708ull, payload, 3);
+  const unsigned char golden[] = {
+      0x45, 0x53, 0x46, 0x52, 0x04, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x5f, 0x1f, 0xe5,
+      0x31, 0xd6, 0x45, 0x55, 0x0b, 0x30, 0x55, 0x7a, 0x9f, 0xc4, 0xe9, 0x0e,
+      0x33, 0x58, 0x7d, 0xa2, 0xc7, 0xec, 0x11, 0x36, 0x5b, 0x80, 0xa5, 0xca,
+      0xef, 0x14, 0x39, 0x5e, 0x83, 0xa8, 0xcd, 0xf2, 0x17, 0x3c, 0x61, 0x86,
+      0xab, 0xd0, 0xf5, 0x1a, 0x3f, 0x64, 0x89, 0xae, 0xd3, 0xf8, 0x1d, 0x42,
+      0x67, 0x8c, 0xb1, 0xd6, 0xfb, 0x20, 0x45, 0x6a, 0x8f, 0xb4, 0xd9, 0xfe,
+      0x23, 0x48, 0x6d, 0x92, 0xb7, 0xdc, 0x01, 0x26, 0x4b, 0x70, 0x95, 0xba,
+      0xdf, 0x04, 0x29, 0x4e, 0x73, 0x98, 0xbd, 0xe2, 0x07,
+  };
+  EXPECT_EQ(encode_frame(frame),
+            std::string(reinterpret_cast<const char*>(golden), sizeof(golden)));
+}
+
 TEST(FrameCodec, EmptyPayloadRoundTrips) {
   const std::string bytes = encode_frame(make_frame(FrameType::Ping, 0, ""));
   ASSERT_EQ(bytes.size(), kFrameHeaderSize);

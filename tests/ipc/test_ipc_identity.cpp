@@ -7,8 +7,9 @@
 // and half-closes a socket mid-run. Traces cross the wire as exact
 // IEEE-754 bit patterns and the (t, j)-ordered reduction is unchanged,
 // so every float must match with ==, not with a tolerance. Checkpoints
-// taken through the transport (Snapshot frames) must be byte-identical
-// to in-process ones.
+// taken through the transport (Environment sections rebuilt from the
+// supervisor's cached EnvState blob + coordination vector) must be
+// byte-identical to in-process ones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,14 +187,110 @@ TEST(IpcIdentity, CheckpointsByteIdenticalAcrossWorkerCounts) {
   std::filesystem::remove(path_w0);
   std::filesystem::remove(path_w2);
   // Checkpoints through the transport assemble Environment sections from
-  // Snapshot frames; the container must come out byte-for-byte equal to
-  // the in-process one (same kCkptFormatVersion, same section bytes).
+  // the supervisor's cached blobs; the container must come out
+  // byte-for-byte equal to the in-process one (same kCkptFormatVersion,
+  // same section bytes).
   const SystemRun a = run_system(42, 0, nullptr, nullptr, path_w0);
   const SystemRun b = run_system(42, 2, nullptr, nullptr, path_w2);
   ASSERT_FALSE(a.checkpoint_bytes.empty());
   EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
   std::filesystem::remove(path_w0);
   std::filesystem::remove(path_w2);
+}
+
+/// make_env without the coordination clamp. The clamp maps every vector
+/// these small runs deliver (all positive) to zero, and a checkpoint test
+/// must see the vectors change from period to period.
+std::unique_ptr<env::RaEnvironment> make_unclamped_env(Rng rng) {
+  env::RaEnvironmentConfig config;
+  config.coordination_clip = 0.0;
+  return std::make_unique<env::RaEnvironment>(
+      config,
+      std::vector<env::AppProfile>{env::slice1_profile(), env::slice2_profile()},
+      std::make_shared<env::DirectServiceModel>(env::prototype_capacity()),
+      env::make_queue_power_perf(), rng);
+}
+
+/// The checkpoint image after every period of a `periods`-period run at
+/// `workers` worker processes (0 = in-process, the reference).
+std::vector<std::string> checkpoint_every_period(std::uint64_t seed, std::size_t workers,
+                                                 const FaultInjector& faults,
+                                                 std::size_t periods) {
+  const Rng parent(seed);
+  std::vector<std::unique_ptr<env::RaEnvironment>> environments;
+  std::vector<std::unique_ptr<core::RaPolicy>> policies;
+  std::vector<env::RaEnvironment*> env_ptrs;
+  std::vector<core::RaPolicy*> policy_ptrs;
+  for (std::size_t j = 0; j < kRas; ++j) {
+    environments.push_back(make_unclamped_env(parent.spawn(500 + j)));
+    policies.push_back(std::make_unique<core::TaroPolicy>());
+    env_ptrs.push_back(environments.back().get());
+    policy_ptrs.push_back(policies.back().get());
+  }
+  core::CoordinatorConfig coordinator;
+  coordinator.slices = 2;
+  coordinator.ras = kRas;
+  core::SystemConfig config;
+  config.faults = &faults;
+  std::unique_ptr<WorkerSupervisor> supervisor;
+  if (workers > 0) {
+    SupervisorConfig sup_config;
+    sup_config.workers = workers;
+    supervisor = std::make_unique<WorkerSupervisor>(env_ptrs, policy_ptrs, sup_config);
+    supervisor->start();
+    config.transport = supervisor.get();
+  }
+  core::EdgeSliceSystem system(env_ptrs, policy_ptrs, coordinator, config);
+
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("esfr_chaos_w" + std::to_string(workers) + ".ckpt"))
+                               .string();
+  std::vector<std::string> images;
+  for (std::size_t p = 0; p < periods; ++p) {
+    system.run_period();
+    EXPECT_TRUE(system.save_checkpoint(path));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    images.push_back(bytes.str());
+  }
+  std::filesystem::remove(path);
+  return images;
+}
+
+TEST(IpcIdentity, CheckpointsByteIdenticalUnderChaos) {
+  // Checkpoints through the transport rebuild each Environment section
+  // from the supervisor's cache (last EnvState blob + last delivered
+  // coordination). The plan drives that cache through the paths where it
+  // could drift from a worker's real state: RA 0's worker is SIGKILLed at
+  // period 1 (down 2 periods), RA 3's socket is half-closed at period 2,
+  // RA 1 is crashed at period 2 (run = false: its cached blob is one
+  // period old while the other RAs' coordinations keep arriving), RA 2
+  // runs derated, and RC-M/RC-L messages are dropped at random, so some
+  // RAs keep an older vector than their blob's period.
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.events.push_back(FaultEvent{FaultType::WorkerKill, 1, 0, 2, 1.0});
+  plan.events.push_back(FaultEvent{FaultType::SocketDrop, 2, kRas - 1, 1, 1.0});
+  plan.events.push_back(FaultEvent{FaultType::RaCrash, 2, 1, 1, 1.0});
+  plan.events.push_back(FaultEvent{FaultType::ComputeSlowdown, 1, 2, 2, 2.0});
+  plan.rates.rcm_drop = 0.2;
+  plan.rates.rcl_drop = 0.3;
+  const FaultInjector faults(plan);
+  constexpr std::size_t kChaosPeriods = 5;
+  const std::vector<std::string> reference =
+      checkpoint_every_period(9, 0, faults, kChaosPeriods);
+  ASSERT_EQ(reference.size(), kChaosPeriods);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    const std::vector<std::string> images =
+        checkpoint_every_period(9, workers, faults, kChaosPeriods);
+    ASSERT_EQ(images.size(), kChaosPeriods);
+    for (std::size_t p = 0; p < kChaosPeriods; ++p) {
+      ASSERT_FALSE(reference[p].empty());
+      EXPECT_TRUE(images[p] == reference[p])
+          << "workers " << workers << " checkpoint after period " << p;
+    }
+  }
 }
 
 }  // namespace
